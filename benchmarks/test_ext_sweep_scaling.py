@@ -17,12 +17,18 @@ The acceptance claims:
   construction included),
 * every exact-tier point (the deliberately fallback-forced near-open
   resistors) is **bit-identical** to its from-scratch reference,
-* every incremental point stays within its tier's stated bound.
+* every incremental point stays within its tier's stated bound,
+* building the engine and evaluating the plan performs exactly
+  ``1 + exact`` LU factorizations (counted at scipy's ``lu_factor`` /
+  ``splu``): the gradient's adjoint solves reuse the base LU.
 
 Results land in ``BENCH_scaling.json`` under ``sweep_scaling``.
 """
 
 import time
+
+import scipy.linalg
+import scipy.sparse.linalg
 
 from _bench_utils import record_bench, report
 from repro.analysis.sources import Step
@@ -58,7 +64,20 @@ def make_plan(circuit) -> SweepPlan:
     return SweepPlan(node=str(NODES), points=tuple(points))
 
 
-def run_both():
+def count_factorizations(monkeypatch) -> dict:
+    """Count every dense or sparse LU factorization from here on."""
+    calls = {"lu": 0}
+    for module, name in ((scipy.linalg, "lu_factor"),
+                         (scipy.sparse.linalg, "splu")):
+        def counted(*args, _factor=getattr(module, name), **kwargs):
+            calls["lu"] += 1
+            return _factor(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def run_both(calls):
     circuit = random_rc_tree(NODES, seed=SEED)
     plan = make_plan(circuit)
 
@@ -66,22 +85,27 @@ def run_both():
     engine = SweepEngine(circuit, STIMULI)
     result = engine.evaluate(plan)
     incremental_s = time.perf_counter() - t0
+    lu_total = calls["lu"]
 
     t0 = time.perf_counter()
     references = [engine.direct_point(point, plan.node)
                   for point in plan.points]
     direct_s = time.perf_counter() - t0
-    return plan, result, references, incremental_s, direct_s
+    return plan, result, references, incremental_s, direct_s, lu_total
 
 
-def test_incremental_sweep_is_10x_faster_and_exact_points_bitwise(benchmark):
-    plan, result, references, incremental_s, direct_s = run_both()
+def test_incremental_sweep_is_10x_faster_and_exact_points_bitwise(
+        benchmark, monkeypatch):
+    calls = count_factorizations(monkeypatch)
+    plan, result, references, incremental_s, direct_s, lu_total = run_both(
+        calls)
     speedup = direct_s / max(incremental_s, 1e-9)
 
     assert len(result.points) == POINTS
     assert result.stats["exact"] == FORCED
     assert result.stats["fallbacks"] == FORCED
     assert result.incremental_points == POINTS - FORCED
+    assert lu_total == 1 + result.stats["exact"]
 
     bitwise = 0
     for got, want in zip(result.points, references):
@@ -108,6 +132,7 @@ def test_incremental_sweep_is_10x_faster_and_exact_points_bitwise(benchmark):
         [
             ("per-point re-analysis", f"{POINTS} stamp+factor", f"{direct_s:.3f} s"),
             ("incremental sweep", "1 factorization (+4 forced)", f"{incremental_s:.3f} s"),
+            ("LU factorizations", f"1 + {FORCED}", str(lu_total)),
             ("speedup", ">= 10x", f"{speedup:.0f}x"),
             ("tier mix", "fo/r1/exact",
              f"{result.stats['first_order']}/{result.stats['rank1']}"
@@ -129,6 +154,7 @@ def test_incremental_sweep_is_10x_faster_and_exact_points_bitwise(benchmark):
             "exact": result.stats["exact"],
             "fallbacks": result.stats["fallbacks"],
             "factorizations": result.stats["factorizations"],
+            "lu_factorizations_total": lu_total,
             "exact_points_bitwise": bitwise == FORCED,
         },
     )

@@ -353,7 +353,10 @@ class MnaSystem:
             )
 
     def solve_augmented(
-        self, rhs: np.ndarray, charge_values: np.ndarray | None = None
+        self,
+        rhs: np.ndarray,
+        charge_values: np.ndarray | None = None,
+        transpose: bool = False,
     ) -> np.ndarray:
         """Solve ``G_aug y = rhs`` with the charge rows of ``rhs`` replaced
         by ``charge_values`` (default zero).
@@ -366,7 +369,17 @@ class MnaSystem:
         every subproblem's chain at the cost of a single solve per order.
         For a matrix ``rhs``, ``charge_values`` may be ``(n_groups,)``
         (applied to every column) or ``(n_groups, k)`` (per column).
+
+        ``transpose=True`` solves the adjoint system ``G_augᵀ y = rhs``
+        on the *same* factors (no second factorisation) and uses ``rhs``
+        as given: the charge-row substitution belongs to forward solves
+        only, so ``charge_values`` must then be omitted.  Both directions
+        count in :attr:`stats` alike.
         """
+        if transpose and charge_values is not None:
+            raise CircuitError(
+                "charge_values apply to forward solves only, not transpose=True"
+            )
         if scipy.sparse.issparse(rhs):
             rhs = rhs.toarray()
         rhs = np.array(rhs, dtype=float, copy=True)
@@ -376,7 +389,7 @@ class MnaSystem:
                 f"right-hand sides, got ndim={rhs.ndim}"
             )
         columns = 1 if rhs.ndim == 1 else rhs.shape[1]
-        if self.charge_rows:
+        if self.charge_rows and not transpose:
             if charge_values is None:
                 charge_values = np.zeros(len(self.charge_rows))
             charge_values = np.asarray(charge_values, dtype=float)
@@ -388,8 +401,8 @@ class MnaSystem:
         self.stats.add("solve_columns", columns)
         with self.stats.timer("solve_time_s"):
             if self.use_sparse:
-                return factor.solve(rhs)
-            return scipy.linalg.lu_solve(factor, rhs)
+                return factor.solve(rhs, trans="T" if transpose else "N")
+            return scipy.linalg.lu_solve(factor, rhs, trans=int(transpose))
 
     def source_vector(self, values: dict[str, float] | np.ndarray) -> np.ndarray:
         """Build ``u`` from a name->value mapping (missing sources are 0)

@@ -351,6 +351,8 @@ def series_rc_chains(circuit: Circuit, keep: tuple = ()) -> tuple[SeriesRcChain,
             continue
         first, second = resistor_adjacency[seed]
         # Walk outward in both directions until a non-removable anchor.
+        # ``walked`` detects a ring in O(1) per step; the lists keep order.
+        walked = {seed}
         left: list[str] = []
         left_resistors: list[Resistor] = []
         is_cycle = False
@@ -361,9 +363,10 @@ def series_rc_chains(circuit: Circuit, keep: tuple = ()) -> tuple[SeriesRcChain,
             if nxt not in removable:
                 anchor_a = nxt
                 break
-            if nxt == seed or nxt in left:
+            if nxt in walked:
                 is_cycle = True
                 break
+            walked.add(nxt)
             left.append(nxt)
             a, b = resistor_adjacency[nxt]
             node, res = nxt, (b if a is res else a)
@@ -377,9 +380,10 @@ def series_rc_chains(circuit: Circuit, keep: tuple = ()) -> tuple[SeriesRcChain,
                 if nxt not in removable:
                     anchor_b = nxt
                     break
-                if nxt == seed or nxt in left or nxt in right:
+                if nxt in walked:
                     is_cycle = True
                     break
+                walked.add(nxt)
                 right.append(nxt)
                 a, b = resistor_adjacency[nxt]
                 node, res = nxt, (b if a is res else a)

@@ -31,7 +31,6 @@ finite differences check the general case in the test suite.
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import numpy as np
 
@@ -73,25 +72,30 @@ class DelaySensitivities:
         return entries[:count]
 
 
-def _incidence(system: MnaSystem, element) -> np.ndarray:
-    w = np.zeros(system.dimension)
-    if element.positive != GROUND:
-        w[system.index.node(element.positive)] = 1.0
-    if element.negative != GROUND:
-        w[system.index.node(element.negative)] = -1.0
-    return w
+def _terminal_rows(system: MnaSystem, elements) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of each element's positive and negative node; ground maps to
+    ``system.dimension``, one past the last row, where callers append a
+    zero.  Then ``v[p] - v[n]`` is ``wᵀv`` for every element at once."""
+    rows = dict(zip(system.index.node_names, range(system.index.node_count)))
+    rows[GROUND] = system.dimension
+    positive = np.array([rows[e.positive] for e in elements], dtype=np.intp)
+    negative = np.array([rows[e.negative] for e in elements], dtype=np.intp)
+    return positive, negative
 
 
 def delay_sensitivities(
     circuit: Circuit,
     node: str | int,
     source_values: dict[str, float] | None = None,
+    system: MnaSystem | None = None,
 ) -> DelaySensitivities:
     """Gradient of the first-moment (Elmore) delay at ``node``.
 
     ``source_values`` are the post-step source levels (defaults to each
     voltage source's ``dc`` value); the pre-state is the all-zero
-    equilibrium.
+    equilibrium.  ``system`` is an already-built :class:`MnaSystem` of
+    ``circuit`` whose factorization the four solves reuse (the adjoint
+    pair as transpose solves); by default one is built here.
     """
     for element in circuit:
         if not isinstance(element, (Resistor, Capacitor, VoltageSource, CurrentSource)):
@@ -103,7 +107,10 @@ def delay_sensitivities(
     if name == GROUND:
         raise AnalysisError("ground has no delay")
 
-    system = MnaSystem(circuit)
+    if system is None:
+        system = MnaSystem(circuit)
+    elif system.circuit is not circuit:
+        raise AnalysisError("system= must be the MnaSystem of this circuit")
     if system.floating_groups:
         raise AnalysisError(
             "delay sensitivities are not defined for floating capacitive "
@@ -127,50 +134,40 @@ def delay_sensitivities(
     m0 = -float(v1[row])
     elmore = -m0 / swing
 
-    # Adjoint solves (G is symmetric for R/C/V/I MNA up to the branch rows,
-    # but we solve with the transpose explicitly to stay general).
-    import scipy.linalg
-
-    if system.use_sparse:
-        import scipy.sparse
-        import scipy.sparse.linalg
-
-        solve_t = scipy.sparse.linalg.splu(
-            scipy.sparse.csc_matrix(system.G_aug.T)
-        ).solve
-    else:
-        lu_t = scipy.linalg.lu_factor(system.G_aug.T)
-        solve_t = functools.partial(scipy.linalg.lu_solve, lu_t)
+    # Adjoint solves on the same factors (G is symmetric for R/C/V/I MNA
+    # up to the branch rows, but the transpose keeps this general).
     e_o = np.zeros(system.dimension)
     e_o[row] = 1.0
-    a = solve_t(e_o)
-    c = solve_t(np.asarray(system.C.T @ a).ravel())
+    a = system.solve_augmented(e_o, transpose=True)
+    c = system.solve_augmented(np.asarray(system.C.T @ a).ravel(), transpose=True)
 
     # T_D = -m0/swing where swing = e_o^T x_inf also depends on G:
-    # d(swing) = -(a^T dG x_inf).  Assemble the full quotient rule.
-    d_resistance: dict[str, float] = {}
-    d_capacitance: dict[str, float] = {}
-    for element in circuit:
-        if isinstance(element, Resistor):
-            w = _incidence(system, element)
-            # dm0/dg and d(swing)/dg for conductance g.
-            dm0_dg = float((a @ w) * (w @ v1) + (c @ w) * (w @ x_inf))
-            dswing_dg = float(-(a @ w) * (w @ x_inf))
-            g = element.conductance
-            dm0_dR = dm0_dg * (-(g * g))
-            dswing_dR = dswing_dg * (-(g * g))
-            dT_dR = -(dm0_dR * swing - m0 * dswing_dR) / (swing * swing)
-            d_resistance[element.name] = dT_dR
-        elif isinstance(element, Capacitor):
-            w = _incidence(system, element)
-            dm0_dC = float(-(a @ w) * (w @ x_inf))
-            d_capacitance[element.name] = -dm0_dC / swing
-    values = {r.name: r.resistance for r in circuit.resistors}
-    values.update({c.name: c.capacitance for c in circuit.capacitors})
+    # d(swing) = -(a^T dG x_inf).  Assemble the full quotient rule for
+    # every element at once, each wᵀv as a gather (ground reads the
+    # appended zero).
+    a, c, x_inf, v1 = (np.append(v, 0.0) for v in (a, c, x_inf, v1))
+    resistors = circuit.resistors
+    p, n = _terminal_rows(system, resistors)
+    a_w, x_w = a[p] - a[n], x_inf[p] - x_inf[n]
+    # dm0/dg and d(swing)/dg for conductance g, then the chain rule to R.
+    dm0_dg = a_w * (v1[p] - v1[n]) + (c[p] - c[n]) * x_w
+    dswing_dg = -a_w * x_w
+    g = np.array([r.conductance for r in resistors])
+    dm0_dR = dm0_dg * (-(g * g))
+    dswing_dR = dswing_dg * (-(g * g))
+    dT_dR = -(dm0_dR * swing - m0 * dswing_dR) / (swing * swing)
+
+    capacitors = circuit.capacitors
+    p, n = _terminal_rows(system, capacitors)
+    dm0_dC = -(a[p] - a[n]) * (x_inf[p] - x_inf[n])
+    dT_dC = -dm0_dC / swing
+
+    values = {r.name: r.resistance for r in resistors}
+    values.update({cap.name: cap.capacitance for cap in capacitors})
     return DelaySensitivities(
         node=name,
         elmore_delay=elmore,
-        d_resistance=d_resistance,
-        d_capacitance=d_capacitance,
+        d_resistance=dict(zip((r.name for r in resistors), dT_dR.tolist())),
+        d_capacitance=dict(zip((cap.name for cap in capacitors), dT_dC.tolist())),
         element_values=values,
     )

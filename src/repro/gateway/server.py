@@ -838,9 +838,19 @@ def serve_gateway(host: str = "127.0.0.1", port: int = 8050, *,
     (``shard_crash`` and the HTTP boundary probes live here); shards are
     spawned fault-free regardless — see :mod:`repro.gateway.shards`.
     ``announce`` is called with the bound server; SIGTERM/SIGINT drain.
+    The handlers go in first: a supervisor may signal as soon as it reads
+    the announce line, and the default action would kill the gateway and
+    orphan its shards.
     """
     if fault_spec:
         faults.install(faults.FaultPlan.parse(fault_spec, seed=fault_seed))
+    stopping = threading.Event()
+    if install_signals:
+        def _on_signal(signum, frame):
+            stopping.set()
+
+        signal.signal(signal.SIGTERM, _on_signal)
+        signal.signal(signal.SIGINT, _on_signal)
     server = GatewayServer(
         shards, host=host, port=port, cache_bytes=cache_bytes,
         cache_dir=cache_dir, timeout=timeout,
@@ -850,16 +860,9 @@ def serve_gateway(host: str = "127.0.0.1", port: int = 8050, *,
         shard_queue_size=shard_queue_size,
     )
     server.start()
-    if announce is not None:
-        announce(server)
-    stopping = threading.Event()
-    if install_signals:
-        def _on_signal(signum, frame):
-            stopping.set()
-
-        signal.signal(signal.SIGTERM, _on_signal)
-        signal.signal(signal.SIGINT, _on_signal)
     try:
+        if announce is not None:
+            announce(server)
         stopping.wait()
     finally:
         server.close()

@@ -1002,12 +1002,15 @@ class ServiceServer:
 
     # -- foreground mode (the CLI) -------------------------------------
 
-    def serve_forever(self, install_signals: bool = True) -> None:
+    def serve_forever(self, install_signals: bool = True,
+                      announce=None) -> None:
         """Run in the calling thread until SIGTERM/SIGINT, then drain.
 
         The signal handler only flips the drain flag and hands shutdown
         to a helper thread — in-flight jobs finish and their responses
-        are written before this method returns.
+        are written before this method returns.  ``announce`` is called
+        with the server once the handlers are in place, so a signal sent
+        as soon as the announce line is read drains instead of killing.
         """
         self.service.start()
         if install_signals:
@@ -1020,6 +1023,8 @@ class ServiceServer:
             signal.signal(signal.SIGTERM, _on_signal)
             signal.signal(signal.SIGINT, _on_signal)
         try:
+            if announce is not None:
+                announce(self)
             self._httpd.serve_forever()
         finally:
             self._httpd.server_close()  # joins in-flight handler threads
@@ -1054,7 +1059,5 @@ def serve(host: str = "127.0.0.1", port: int = 8040, *, workers: int = 2,
                               engine_workers=engine_workers,
                               degraded_threshold=degraded_threshold)
     server = ServiceServer(host=host, port=port, service=service)
-    if announce is not None:
-        announce(server)
-    server.serve_forever()
+    server.serve_forever(announce=announce)
     return 0

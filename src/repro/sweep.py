@@ -7,14 +7,20 @@ economy across **netlist deltas**: an ECO loop asking "what if R17 were
 0.9 V?" should never pay for a full re-parse, re-stamp, re-factor per
 question.  The :class:`SweepEngine` analyzes the base circuit once and
 then evaluates each perturbation point by recomputing only what the
-delta touches, choosing per point among three tiers:
+delta touches.  The engine pays **one** LU factorization of ``G``;
+every forward solve and every adjoint (``G⁻ᵀ``) solve of the first two
+tiers is a triangular substitution on it
+(:meth:`~repro.analysis.mna.MnaSystem.solve_augmented` with
+``transpose=True`` for the adjoints), so only exact-tier points
+refactor.  It chooses per point among three tiers:
 
 ``first_order``
     The precomputed adjoint gradient (:func:`repro.core.sensitivity.
-    delay_sensitivities` — two adjoint solves for *all* elements at
-    once).  O(1) per point.  Exact for capacitor scalings (the Elmore
-    delay is linear in each capacitance); first-order in resistance,
-    with a Sherman–Morrison curvature estimate gating its use.
+    delay_sensitivities` on the engine's system — two adjoint solves
+    for *all* elements at once, once per output node).  O(1) per
+    point.  Exact for capacitor scalings (the Elmore delay is linear in
+    each capacitance); first-order in resistance, with a
+    Sherman–Morrison curvature estimate gating its use.
 ``rank1``
     Sherman–Morrison rank-1 updates on the base factorization.  A
     single-element stamp is ``ΔG = Δg·wwᵀ`` (``w`` the element's
@@ -58,7 +64,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
 from repro.analysis.mna import MnaSystem
 from repro.analysis.sources import Stimulus, complete_stimuli
@@ -72,7 +77,7 @@ from repro.circuit.elements import (
 )
 from repro.circuit.netlist import Circuit
 from repro.circuit.validation import validate_for_analysis
-from repro.core.sensitivity import _incidence
+from repro.core.sensitivity import delay_sensitivities
 from repro.errors import AnalysisError
 from repro.trace import NULL_TRACER
 
@@ -83,6 +88,28 @@ MODES = ("auto", "first_order", "rank1", "exact")
 #: update singular: the perturbation removes the system's unique DC
 #: solution along that direction, so the point must re-stamp instead.
 _SM_DENOMINATOR_FLOOR = 1e-9
+
+
+def _incidence(system: MnaSystem, element) -> np.ndarray:
+    """The element's stamp direction ``w``: +1 at its positive node, -1
+    at its negative node (ground has no row)."""
+    w = np.zeros(system.dimension)
+    if element.positive != GROUND:
+        w[system.index.node(element.positive)] = 1.0
+    if element.negative != GROUND:
+        w[system.index.node(element.negative)] = -1.0
+    return w
+
+
+def _across(system: MnaSystem, element, vector: np.ndarray) -> float:
+    """``wᵀv`` for the element's :func:`_incidence` ``w``: two reads of
+    ``v`` instead of a dot product over every row (ground reads 0)."""
+    value = 0.0
+    if element.positive != GROUND:
+        value += float(vector[system.index.node(element.positive)])
+    if element.negative != GROUND:
+        value -= float(vector[system.index.node(element.negative)])
+    return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -363,11 +390,10 @@ class SweepEngine:
         """Cached adjoint delay gradient for the first-order tier."""
         cached = self._gradient_cache.get(node)
         if cached is None:
-            from repro.core.sensitivity import delay_sensitivities
-
             cached = delay_sensitivities(
                 self.circuit, node,
                 {name: float(u) for name, u in zip(self.source_order, self._u)},
+                system=self.system,
             )
             self._gradient_cache[node] = cached
         return cached
@@ -398,8 +424,7 @@ class SweepEngine:
         new_g = 1.0 / new_value
         delta_g = new_g - g
         z = self._z(element)
-        w = _incidence(self.system, element)
-        rho = delta_g * float(w @ z)
+        rho = delta_g * _across(self.system, element, z)
         denominator = 1.0 + rho
         if abs(denominator) < _SM_DENOMINATOR_FLOOR:
             return None
@@ -413,32 +438,22 @@ class SweepEngine:
         estimate = estimate * min(correction, 1.0)
         # dc first-order: d(dc)/dg = -(aᵀw)(wᵀx_inf) with a = G⁻ᵀe_o —
         # the SM correction linearized (drop the 1/(1+ρ) factor).
-        a_w, x_w = self._adjoint_projection(row, element), float(w @ self._x_inf)
+        a_w = _across(self.system, element, self._adjoint_row_solve(row))
+        x_w = _across(self.system, element, self._x_inf)
         dc = base_dc - delta_g * a_w * x_w
         m1 = -elmore * dc
         return dc, m1, elmore, estimate
 
     def _adjoint_row_solve(self, row: int) -> np.ndarray:
-        """Cached ``a = G⁻ᵀe_row`` (one transpose solve per output row)."""
+        """Cached ``a = G⁻ᵀe_row`` (one transpose solve per output row,
+        on the base factors)."""
         cached = self._adjoint_cache.get(row)
         if cached is None:
             e = np.zeros(self.system.dimension)
             e[row] = 1.0
-            if self.system.use_sparse:
-                from scipy.sparse import csc_matrix
-                from scipy.sparse.linalg import splu
-
-                cached = splu(csc_matrix(self.system.G_aug.T)).solve(e)
-            else:
-                cached = scipy.linalg.lu_solve(
-                    scipy.linalg.lu_factor(self.system.G_aug.T), e
-                )
+            cached = self.system.solve_augmented(e, transpose=True)
             self._adjoint_cache[row] = cached
         return cached
-
-    def _adjoint_projection(self, row: int, element) -> float:
-        a = self._adjoint_row_solve(row)
-        return float(a @ _incidence(self.system, element))
 
     def _rank1(self, point: SweepPoint, row: int, element, new_value: float):
         """Sherman–Morrison tier — the single-element stamp update.
@@ -460,22 +475,21 @@ class SweepEngine:
             return (*self._metrics_from(x_inf, v1, row), 0.0)
         if isinstance(element, Capacitor):
             delta_c = new_value - element.capacitance
-            w = _incidence(system, element)
             z = self._z(element)
             # ΔC = δ·wwᵀ ⇒ v1' = G⁻¹(C + ΔC)x_inf = v1 + δ(wᵀx_inf)z.
-            v1 = self._v1 + delta_c * float(w @ self._x_inf) * z
+            v1 = self._v1 + delta_c * _across(system, element, self._x_inf) * z
             return (*self._metrics_from(self._x_inf, v1, row), 0.0)
         # Resistor: ΔG = Δg·wwᵀ.
         delta_g = 1.0 / new_value - element.conductance
-        w = _incidence(system, element)
         z = self._z(element)
-        denominator = 1.0 + delta_g * float(w @ z)
+        denominator = 1.0 + delta_g * _across(system, element, z)
         if abs(denominator) < _SM_DENOMINATOR_FLOOR:
             return None
         factor = delta_g / denominator
 
         def perturbed_solve(base_solution: np.ndarray) -> np.ndarray:
-            return base_solution - factor * float(w @ base_solution) * z
+            return (base_solution
+                    - factor * _across(system, element, base_solution) * z)
 
         x_inf = perturbed_solve(self._x_inf)
         # v1' = G'⁻¹C x_inf': one fresh substitution with the *base*

@@ -9,7 +9,9 @@ auto-picked backend must match the documented rule, the trace must
 record the choice, and a forced sparse vs forced dense factorisation of
 the *same* system must agree on ``solve_augmented`` and on the final
 AWE waveform to tight tolerance — the backend is an implementation
-detail, never an answer change.
+detail, never an answer change.  The adjoint (``transpose=True``)
+solve must match an explicitly transposed system on either backend
+without a second factorisation.
 """
 
 import numpy as np
@@ -66,6 +68,29 @@ def test_solve_augmented_parity_across_backends(sections):
     x_sparse = sparse.solve_augmented(rhs_block)
     scale = np.max(np.abs(x_dense)) or 1.0
     assert np.max(np.abs(x_dense - x_sparse)) / scale < 1e-9
+
+
+@pytest.mark.parametrize("sections", BOUNDARY_SECTIONS)
+def test_transpose_solve_reuses_the_factors(sections):
+    circuit = rc_ladder(sections)
+    # An RC ladder's G is symmetric; a VCCS makes G_augᵀ a different
+    # system, so a solve that ignored the transpose would fail below.
+    circuit.add_vccs("Gm", "1", "0", "2", "0", 1e-3)
+    system = MnaSystem(circuit)
+    G_aug_t = system.G_aug_dense.T
+    assert not np.allclose(G_aug_t, system.G_aug_dense)
+
+    rng = np.random.default_rng(sections)
+    rhs = rng.standard_normal(system.index.dimension)
+    block = rng.standard_normal((system.index.dimension, 3))
+    np.testing.assert_allclose(system.solve_augmented(rhs, transpose=True),
+                               np.linalg.solve(G_aug_t, rhs), rtol=1e-10)
+    np.testing.assert_allclose(system.solve_augmented(block, transpose=True),
+                               np.linalg.solve(G_aug_t, block), rtol=1e-10)
+    stats = system.stats.as_dict()
+    assert stats["lu_factorizations"] == 1
+    assert stats["triangular_solves"] == 2
+    assert stats["solve_columns"] == 1 + 3
 
 
 @pytest.mark.parametrize("sections", BOUNDARY_SECTIONS)

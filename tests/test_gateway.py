@@ -10,7 +10,13 @@ client-visible failures.
 """
 
 import asyncio
+import glob
 import json
+import os
+import pathlib
+import signal
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -23,11 +29,14 @@ from repro.gateway import (
     GatewayService,
     build_mix,
     run_loadgen,
+    serve_gateway,
     shard_for_key,
 )
 from repro.report import validate_report
 from repro.service import AnalysisClient, ServiceError, ServiceServer
 from repro.trace import Tracer, iter_events
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 FAST_DECK = """\
 gateway fast deck
@@ -437,3 +446,77 @@ class TestSpawnMode:
             warm = client.analyze(FAST_DECK, "2")
             assert warm.cached
             assert warm.body == cold.body
+
+
+def _child_pids(pid: int) -> set[int]:
+    """Direct children of ``pid``, from every thread's procfs entry."""
+    children = set()
+    for path in glob.glob(f"/proc/{pid}/task/*/children"):
+        try:
+            with open(path) as handle:
+                children.update(int(child) for child in handle.read().split())
+        except OSError:  # the thread exited between glob and open
+            continue
+    return children
+
+
+def _running(pid: int) -> bool:
+    """True unless ``pid`` is gone or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestSignals:
+    """SIGTERM drains the gateway from the moment it announces itself."""
+
+    def test_serve_gateway_installs_its_signal_handlers_before_announcing(self):
+        seen = {}
+
+        def announce(server):
+            seen["handler"] = signal.getsignal(signal.SIGTERM)
+            threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGTERM)).start()
+
+        previous = (signal.getsignal(signal.SIGTERM),
+                    signal.getsignal(signal.SIGINT))
+        try:
+            assert serve_gateway(port=0, shards=1, announce=announce) == 0
+        finally:
+            signal.signal(signal.SIGTERM, previous[0])
+            signal.signal(signal.SIGINT, previous[1])
+        assert callable(seen["handler"])
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/task"),
+                        reason="reads child pids from procfs")
+    def test_sigterm_right_after_the_announce_line_drains_every_shard(self):
+        # A supervisor may signal as soon as it reads the announce line;
+        # the gateway must already drain then, not die with -15 and
+        # leave its shards running.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "gateway", "--port", "0",
+             "--shards", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            text=True, env=env, cwd=REPO_ROOT,
+        )
+        shards = set()
+        try:
+            line = proc.stdout.readline()
+            shards = _child_pids(proc.pid)
+            proc.send_signal(signal.SIGTERM)
+            assert "repro gateway listening on " in line, line
+            assert proc.wait(timeout=60) == 0
+            assert len(shards) == 2
+            assert not [pid for pid in shards if _running(pid)]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            proc.stdout.close()
+            for pid in shards:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)

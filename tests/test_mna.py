@@ -223,6 +223,20 @@ class TestFloatingGroups:
         )
         assert x[system.index.node("f")] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_transpose_solve_keeps_the_charge_rows(self, floating_node_circuit,
+                                                   sparse):
+        # The charge-row substitution belongs to forward solves: the
+        # adjoint solve takes rhs as given, on the same factors.
+        system = MnaSystem(floating_node_circuit, sparse=sparse)
+        rhs = np.arange(1.0, system.dimension + 1.0)
+        y = system.solve_augmented(rhs, transpose=True)
+        np.testing.assert_allclose(system.G_aug_dense.T @ y, rhs, rtol=1e-9)
+        assert system.stats.as_dict()["lu_factorizations"] == 1
+        with pytest.raises(CircuitError, match="forward solves only"):
+            system.solve_augmented(rhs, charge_values=np.array([0.0]),
+                                   transpose=True)
+
     def test_group_charge(self, floating_node_circuit):
         system = MnaSystem(floating_node_circuit)
         x = np.zeros(system.dimension)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import Circuit
+from repro import Capacitor, Circuit, MnaSystem, Resistor
 from repro.core.sensitivity import delay_sensitivities
 from repro.errors import AnalysisError
 from repro.papercircuits import fig4_rc_tree, fig9_grounded_resistor, random_rc_tree, rc_mesh
@@ -33,6 +33,50 @@ def finite_difference(circuit_factory, node, element, delta_rel=1e-6):
     return (up - down) / (2.0 * delta_rel * value)
 
 
+def loop_gradient(circuit, node, source_values):
+    """Per-element reference for the vectorised gradient: one dense
+    incidence vector and full-length dot products per element, on the
+    same four solves."""
+    system = MnaSystem(circuit)
+    u = system.source_vector(source_values)
+    row = system.index.node(node)
+    x_inf = system.solve_augmented(system.B @ u)
+    v1 = system.solve_augmented(system.C @ x_inf)
+    swing, m0 = float(x_inf[row]), -float(v1[row])
+    e_o = np.zeros(system.dimension)
+    e_o[row] = 1.0
+    a = system.solve_augmented(e_o, transpose=True)
+    c = system.solve_augmented(np.asarray(system.C.T @ a).ravel(), transpose=True)
+    d_r, d_c = {}, {}
+    for element in circuit:
+        w = np.zeros(system.dimension)
+        for end, sign in ((element.positive, 1.0), (element.negative, -1.0)):
+            if end != "0":
+                w[system.index.node(end)] = sign
+        if isinstance(element, Resistor):
+            g2 = element.conductance ** 2
+            dm0_dR = float((a @ w) * (w @ v1) + (c @ w) * (w @ x_inf)) * -g2
+            dswing_dR = float(-(a @ w) * (w @ x_inf)) * -g2
+            d_r[element.name] = -(dm0_dR * swing - m0 * dswing_dR) / (swing * swing)
+        elif isinstance(element, Capacitor):
+            d_c[element.name] = -float(-(a @ w) * (w @ x_inf)) / swing
+    return d_r, d_c
+
+
+class TestAgainstLoopReference:
+    @pytest.mark.parametrize("factory, node", [
+        (fig9_grounded_resistor, "4"),
+        (lambda: random_rc_tree(200, seed=3), "200"),  # sparse backend
+    ])
+    def test_gathers_equal_the_per_element_loop(self, factory, node):
+        # Each wᵀv dot has two nonzero terms, so the gathers reproduce it
+        # bit for bit.
+        sens = delay_sensitivities(factory(), node, {"Vin": 5.0})
+        d_r, d_c = loop_gradient(factory(), node, {"Vin": 5.0})
+        assert sens.d_resistance == d_r
+        assert sens.d_capacitance == d_c
+
+
 class TestAgainstClosedForm:
     def test_fig4_resistor_gradient(self):
         sens = delay_sensitivities(fig4_rc_tree(), "4", {"Vin": 5.0})
@@ -46,9 +90,14 @@ class TestAgainstClosedForm:
         for name, expected in d_c.items():
             assert sens.d_capacitance[name] == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("seed", [5, 21])
-    def test_random_trees_agree(self, seed):
-        circuit = random_rc_tree(9, seed=seed)
+    @pytest.mark.parametrize("nodes, seed", [
+        pytest.param(9, 5, id="5"),
+        pytest.param(9, 21, id="21"),
+        pytest.param(200, 3, id="sparse-200"),  # dimension 202: SuperLU
+    ])
+    def test_random_trees_agree(self, nodes, seed):
+        circuit = random_rc_tree(nodes, seed=seed)
+        assert MnaSystem(circuit).use_sparse == (nodes == 200)
         node = circuit.nodes[-1]
         sens = delay_sensitivities(circuit, node, {"Vin": 5.0})
         d_r, d_c = delay_gradient_by_node(circuit, node)
@@ -101,6 +150,19 @@ class TestInterface:
         top = sens.top_contributors(2)
         assert len(top) == 2
         assert abs(top[0][1]) >= abs(top[1][1])
+
+    def test_existing_system_gives_the_standalone_answer(self):
+        # Fig. 9 is not a tree; the shared system's four solves (two of
+        # them transpose solves) reuse its one factorization.
+        circuit = fig9_grounded_resistor()
+        system = MnaSystem(circuit)
+        shared = delay_sensitivities(circuit, "4", {"Vin": 5.0}, system=system)
+        assert shared == delay_sensitivities(circuit, "4", {"Vin": 5.0})
+        stats = system.stats.as_dict()
+        assert stats["lu_factorizations"] == 1
+        assert stats["triangular_solves"] == 4
+        with pytest.raises(AnalysisError, match="system="):
+            delay_sensitivities(fig9_grounded_resistor(), "4", system=system)
 
     def test_rejects_inductors(self, series_rlc):
         with pytest.raises(AnalysisError, match="R/C/V/I"):

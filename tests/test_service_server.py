@@ -30,6 +30,7 @@ from repro.service import (
     AnalysisService,
     ServiceError,
     ServiceServer,
+    serve,
 )
 
 
@@ -260,6 +261,25 @@ class TestGracefulDrain:
         status, _, headers = service.submit(raw)
         assert status == 200
         assert headers["X-Repro-Cache"] == "hit"
+
+    def test_serve_installs_its_signal_handlers_before_announcing(self):
+        # A supervisor may send SIGTERM as soon as it reads the announce
+        # line; with the default action still in place it would kill the
+        # daemon instead of draining it.
+        seen = {}
+
+        def announce(server):
+            seen["handler"] = signal.getsignal(signal.SIGTERM)
+            threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGTERM)).start()
+
+        previous = (signal.getsignal(signal.SIGTERM),
+                    signal.getsignal(signal.SIGINT))
+        try:
+            assert serve(port=0, workers=1, announce=announce) == 0
+        finally:
+            signal.signal(signal.SIGTERM, previous[0])
+            signal.signal(signal.SIGINT, previous[1])
+        assert callable(seen["handler"])
 
 
 class TestHttpServer:

@@ -12,6 +12,8 @@ wrong numbers — and say so in the trace.
 import dataclasses
 
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from repro.circuit.elements import Capacitor, Resistor
 from repro.analysis.sources import Step
@@ -78,26 +80,28 @@ class TestPlanValidation:
                 node="3", points=(SweepPoint(element="R1", value=-1.0),)))
 
 
+def mixed_points(circuit):
+    """Small and large R and C changes plus a source retune."""
+    resistors = [e.name for e in circuit if isinstance(e, Resistor)]
+    capacitors = [e.name for e in circuit if isinstance(e, Capacitor)]
+    pts = []
+    for name in resistors[:4]:
+        pts.append(SweepPoint(element=name, scale=1.02))   # small: gradient
+        pts.append(SweepPoint(element=name, scale=2.5))    # large: rank-1
+    for name in capacitors[:4]:
+        pts.append(SweepPoint(element=name, scale=1.03))
+        pts.append(SweepPoint(element=name, scale=0.4))
+    pts.append(SweepPoint(element="Vin", value=0.9))
+    return tuple(pts)
+
+
 class TestTierAccuracy:
     """Every tier vs the from-scratch `direct_point` reference."""
-
-    def points(self, circuit):
-        resistors = [e.name for e in circuit if isinstance(e, Resistor)]
-        capacitors = [e.name for e in circuit if isinstance(e, Capacitor)]
-        pts = []
-        for name in resistors[:4]:
-            pts.append(SweepPoint(element=name, scale=1.02))   # small: gradient
-            pts.append(SweepPoint(element=name, scale=2.5))    # large: rank-1
-        for name in capacitors[:4]:
-            pts.append(SweepPoint(element=name, scale=1.03))
-            pts.append(SweepPoint(element=name, scale=0.4))
-        pts.append(SweepPoint(element="Vin", value=0.9))
-        return tuple(pts)
 
     def test_auto_mix_tracks_direct_within_plan_bound(self):
         circuit = tree()
         engine = SweepEngine(circuit, STIM)
-        plan = SweepPlan(node="5", points=self.points(circuit))
+        plan = SweepPlan(node="5", points=mixed_points(circuit))
         result = engine.evaluate(plan)
         assert result.stats["first_order"] > 0
         assert result.stats["rank1"] > 0
@@ -112,7 +116,7 @@ class TestTierAccuracy:
     def test_exact_mode_is_bitwise_equal_to_direct(self):
         circuit = tree()
         engine = SweepEngine(circuit, STIM)
-        plan = SweepPlan(node="5", points=self.points(circuit), mode="exact")
+        plan = SweepPlan(node="5", points=mixed_points(circuit), mode="exact")
         result = engine.evaluate(plan)
         assert result.stats["exact"] == len(plan.points)
         assert result.stats["factorizations"] == len(plan.points)
@@ -125,7 +129,7 @@ class TestTierAccuracy:
     def test_rank1_mode_stays_within_stated_roundoff_bound(self):
         circuit = tree()
         engine = SweepEngine(circuit, STIM)
-        plan = SweepPlan(node="5", points=self.points(circuit), mode="rank1")
+        plan = SweepPlan(node="5", points=mixed_points(circuit), mode="rank1")
         result = engine.evaluate(plan)
         assert result.stats["rank1"] == len(plan.points)
         assert result.stats["factorizations"] == 0
@@ -167,6 +171,42 @@ class TestTierAccuracy:
                          points=(SweepPoint(element=name, scale=2.5),))
         got = engine.evaluate(plan).points[0]
         assert got.mode == "rank1"  # auto policy skipped the gradient tier
+
+
+def count_factorizations(monkeypatch) -> dict:
+    """Count every dense or sparse LU factorization from here on."""
+    calls = {"lu": 0}
+    for module, name in ((scipy.linalg, "lu_factor"),
+                         (scipy.sparse.linalg, "splu")):
+        def counted(*args, _factor=getattr(module, name), **kwargs):
+            calls["lu"] += 1
+            return _factor(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOneFactorization:
+    """Forward and adjoint solves all reuse the engine's base LU; only
+    exact-tier points factor again."""
+
+    @pytest.mark.parametrize("nodes", [40, 200])  # dense, sparse backend
+    def test_lu_count_is_one_plus_exact_points(self, nodes, monkeypatch):
+        calls = count_factorizations(monkeypatch)
+        circuit = tree(nodes=nodes)
+        engine = SweepEngine(circuit, STIM)
+        assert engine.system.use_sparse == (nodes == 200)
+        # A near-open bridge resistor forces one exact point per tap.
+        points = mixed_points(circuit) + (
+            SweepPoint(element="R1", scale=1e10),)
+        exact = 0
+        for node in ("5", str(nodes)):  # two new taps
+            result = engine.evaluate(SweepPlan(node=node, points=points))
+            assert result.stats["first_order"] > 0
+            exact += result.stats["exact"]
+        assert exact == 2
+        assert calls["lu"] == 1 + exact
+        assert engine.system.stats.as_dict()["lu_factorizations"] == 1
 
 
 class TestFallback:

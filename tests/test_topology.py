@@ -4,7 +4,12 @@ import pytest
 
 from repro import Circuit
 from repro.circuit.elements import Capacitor, CurrentSource, Resistor, VoltageSource
-from repro.circuit.topology import analyze_rc_tree, is_rc_tree, tree_link_partition
+from repro.circuit.topology import (
+    analyze_rc_tree,
+    is_rc_tree,
+    series_rc_chains,
+    tree_link_partition,
+)
 from repro.errors import TopologyError
 from repro.papercircuits import fig4_rc_tree, fig9_grounded_resistor, rc_mesh
 
@@ -103,3 +108,28 @@ class TestTreeLinkPartition:
     def test_mesh_has_resistor_links(self):
         partition = tree_link_partition(rc_mesh(2, 2))
         assert any(isinstance(l, Resistor) for l in partition.links)
+
+
+class TestSeriesRcChains:
+    def test_loops_and_rings_are_skipped(self):
+        # in-a-b-out is a chain; out-l1-l2-out is a loop whose ends meet
+        # at one anchor; r1-r2-r3-r1 is a ring of degree-2 nodes with no
+        # anchor at all.  Only the chain is reported.
+        circuit = Circuit("chains")
+        circuit.add_voltage_source("Vin", "in", "0")
+        for name, a, b in (("R1", "in", "a"), ("R2", "a", "b"),
+                           ("R3", "b", "out"), ("Rl1", "out", "l1"),
+                           ("Rl2", "l1", "l2"), ("Rl3", "l2", "out"),
+                           ("Rr1", "r1", "r2"), ("Rr2", "r2", "r3"),
+                           ("Rr3", "r3", "r1")):
+            circuit.add_resistor(name, a, b, 100.0)
+        for node in ("a", "b", "out", "l1", "l2", "r1", "r2", "r3"):
+            circuit.add_capacitor(f"C{node}", node, "0", 1e-15)
+
+        (chain,) = series_rc_chains(circuit)
+        assert (chain.anchor_a, chain.anchor_b) == ("in", "out")
+        assert chain.interior == ("a", "b")
+        assert [r.name for r in chain.resistors] == ["R1", "R2", "R3"]
+        assert [[c.name for c in caps] for caps in chain.capacitors] == [
+            ["Ca"], ["Cb"]]
+
