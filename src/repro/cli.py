@@ -64,12 +64,12 @@ Installed as ``python -m repro``.  The subcommands:
     print the timing table (or the raw run-report JSON with ``--json``).
 
 ``gateway``
-    Run the sharded async gateway: an asyncio front end that spawns N
-    single-engine ``serve`` children and routes ``/analyze`` / ``/sta``
-    requests to them by canonical cache key, with a gateway-tier result
-    cache, in-flight request coalescing, per-shard health with
-    shed-load, and graceful drain.  Speaks the same protocol as
-    ``serve``, so ``analyze --server`` and ``loadgen`` work against
+    Run the sharded gateway: the daemon's HTTP front over N spawned
+    single-engine ``serve`` children, routing ``/analyze`` / ``/sta`` /
+    ``/sweep`` requests to them by canonical cache key, with a
+    gateway-tier result cache, in-flight request coalescing, per-shard
+    health with shed-load, and graceful drain.  Speaks the same protocol
+    as ``serve``, so ``analyze --server`` and ``loadgen`` work against
     either.  See ``docs/service.md``.
 
 ``sweep``
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gateway = commands.add_parser(
         "gateway",
-        help="run the sharded async gateway over N serve children "
+        help="run the sharded gateway over N serve children "
              "(docs/service.md)",
     )
     gateway.add_argument("--host", default="127.0.0.1")

@@ -1,8 +1,10 @@
-"""Sharded async gateway: a key-routed scale-out front end for the
-analysis service.
+"""Sharded gateway: a key-routed scale-out front end for the analysis
+service.
 
 One daemon (:mod:`repro.service`) is one engine pool and one cache.
-This package puts an asyncio front door over N of them:
+This package puts a front door over N of them, built on the daemon's
+own server core (the endpoint table, the request skeleton, the health
+policy and the stdlib HTTP front of :mod:`repro.service.server`):
 
 * :mod:`repro.gateway.routing` — key-affinity placement: requests are
   routed by the same canonical SHA-256 request key that names their
@@ -12,11 +14,11 @@ This package puts an asyncio front door over N of them:
   ``repro serve`` children on ephemeral ports, kill and respawn them
   (the self-healing path), or attach to externally managed daemons;
 * :mod:`repro.gateway.server` — the gateway itself:
-  :class:`GatewayService` (two-tier cache, in-flight request
-  coalescing, per-shard health with shed-load, graceful drain) behind
-  :class:`GatewayServer`'s asyncio HTTP face — the same JSON protocol
-  as the daemon, so :class:`~repro.service.client.AnalysisClient`
-  works unchanged;
+  :class:`GatewayService` (canonicalization memo, two-tier cache,
+  in-flight request coalescing, key-affinity forwarding with
+  respawn-and-retry) behind :class:`GatewayServer`, the daemon's HTTP
+  front — the same JSON protocol as the daemon, so
+  :class:`~repro.service.client.AnalysisClient` works unchanged;
 * :mod:`repro.gateway.loadgen` — ``repro loadgen``: seeded,
   replayable request mixes at fixed concurrency, measuring
   p50/p99/RPS (feeds ``BENCH_scaling.json`` ``gateway_scaling``).

@@ -18,8 +18,7 @@ it.  This module handles only process lifecycle:
 Spawned children get a scrubbed environment: the parent's
 ``REPRO_FAULTS`` is dropped so a fault plan installed to exercise the
 *gateway* (``shard_crash``, boundary 503s) does not leak into every
-worker and fire twice.  Pass ``fault_spec`` explicitly to inject faults
-inside a shard.
+worker and fire twice.
 """
 
 from __future__ import annotations
@@ -42,15 +41,12 @@ ANNOUNCE_PREFIX = "repro service listening on "
 SPAWN_TIMEOUT_S = 30.0
 
 
-def _shard_environment(fault_spec: str | None, fault_seed: int) -> dict:
-    """A child environment that can import ``repro`` and only carries a
-    fault plan when one was explicitly requested for the shard."""
+def _shard_environment() -> dict:
+    """A child environment that can import ``repro`` and carries no
+    fault plan."""
     env = dict(os.environ)
     env.pop(ENV_SPEC, None)
     env.pop(ENV_SEED, None)
-    if fault_spec:
-        env[ENV_SPEC] = fault_spec
-        env[ENV_SEED] = str(fault_seed)
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(
         repro.__file__)))
     existing = env.get("PYTHONPATH", "")
@@ -58,6 +54,16 @@ def _shard_environment(fault_spec: str | None, fault_seed: int) -> dict:
         env["PYTHONPATH"] = (package_root + os.pathsep + existing
                              if existing else package_root)
     return env
+
+
+def _drain(stream) -> None:
+    with stream:
+        stream.read()
+
+
+def _address(url: str) -> tuple[str, int]:
+    host, _, port = url[len("http://"):].rpartition(":")
+    return host, int(port)
 
 
 class AttachedShard:
@@ -80,9 +86,7 @@ class AttachedShard:
 
     @property
     def address(self) -> tuple[str, int]:
-        hostport = self.url[len("http://"):]
-        host, _, port = hostport.rpartition(":")
-        return host, int(port)
+        return _address(self.url)
 
     def alive(self) -> bool:
         return True
@@ -103,29 +107,21 @@ class AttachedShard:
 class ShardProcess:
     """One owned shard: spawn, watch, kill, respawn a ``serve`` child.
 
-    All methods are blocking (the gateway calls them through its event
-    loop's executor).  ``spawn``/``respawn`` return the announced URL.
+    All methods are blocking (the gateway calls them from its request
+    and start-up threads).  ``spawn``/``respawn`` return the announced
+    URL.
     """
 
     owned = True
 
-    def __init__(self, index: int, *, workers: int = 1,
-                 engine_workers: int = 1, queue_size: int = 64,
-                 cache_bytes: int = 64 * 1024 * 1024,
-                 cache_dir: str | None = None,
-                 timeout: float | None = None,
-                 default_reduce: bool = False,
-                 fault_spec: str | None = None, fault_seed: int = 0):
+    def __init__(self, index: int, *, engine_workers: int = 1,
+                 queue_size: int = 64, cache_dir: str | None = None,
+                 default_reduce: bool = False):
         self.index = index
-        self.workers = workers
         self.engine_workers = engine_workers
         self.queue_size = queue_size
-        self.cache_bytes = cache_bytes
         self.cache_dir = cache_dir
-        self.timeout = timeout
         self.default_reduce = default_reduce
-        self.fault_spec = fault_spec
-        self.fault_seed = fault_seed
         self.url: str | None = None
         self.restarts = 0
         self._process: subprocess.Popen | None = None
@@ -135,21 +131,14 @@ class ShardProcess:
     def _command(self) -> list:
         command = [
             sys.executable, "-m", "repro", "serve",
-            "--host", "127.0.0.1", "--port", "0",
-            "--workers", str(self.workers),
+            "--host", "127.0.0.1", "--port", "0", "--workers", "1",
             "--engine-workers", str(self.engine_workers),
             "--queue-size", str(self.queue_size),
-            "--cache-bytes", str(self.cache_bytes),
         ]
         if self.cache_dir is not None:
             command += ["--cache-dir", self.cache_dir]
-        if self.timeout is not None:
-            command += ["--timeout", str(self.timeout)]
         if self.default_reduce:
             command += ["--reduce"]
-        if self.fault_spec:
-            command += ["--faults", self.fault_spec,
-                        "--fault-seed", str(self.fault_seed)]
         return command
 
     def spawn(self) -> str:
@@ -160,7 +149,7 @@ class ShardProcess:
             self._command(),
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
-            env=_shard_environment(self.fault_spec, self.fault_seed),
+            env=_shard_environment(),
             text=True,
         )
         deadline = time.monotonic() + SPAWN_TIMEOUT_S
@@ -174,12 +163,15 @@ class ShardProcess:
         if url is None:
             process.kill()
             process.wait()
+            process.stdout.close()
             raise RuntimeError(
                 f"shard {self.index} failed to announce within "
                 f"{SPAWN_TIMEOUT_S:g} s (exit code {process.poll()})")
         # Keep draining stdout so the child can never block on a full
-        # pipe, whatever it prints after the announce.
-        threading.Thread(target=process.stdout.read, daemon=True).start()
+        # pipe, whatever it prints after the announce; the drain closes
+        # the pipe once the child has exited.
+        threading.Thread(target=_drain, args=(process.stdout,),
+                         daemon=True).start()
         self._process = process
         self.url = url
         return url
@@ -203,9 +195,7 @@ class ShardProcess:
     def address(self) -> tuple[str, int]:
         if self.url is None:
             raise RuntimeError(f"shard {self.index} was never spawned")
-        hostport = self.url[len("http://"):]
-        host, _, port = hostport.rpartition(":")
-        return host, int(port)
+        return _address(self.url)
 
     def kill(self) -> None:
         """SIGKILL the child — the crash the ``shard_crash`` probe

@@ -15,11 +15,13 @@ microseconds instead of milliseconds.
 * :mod:`repro.service.cache` — byte-budget LRU of validated
   ``repro.run-report/1`` JSON documents, with optional on-disk
   persistence and hit/miss/eviction counters.
-* :mod:`repro.service.server` — stdlib ``ThreadingHTTPServer`` JSON API
-  (``POST /analyze``, ``POST /sta``, ``POST /sweep``, ``GET /healthz``,
-  ``GET /metrics``)
-  with a bounded queue, 429 admission control, per-request timeouts, and
-  graceful SIGTERM drain.
+* :mod:`repro.service.server` — the server core the daemon and the
+  gateway share: one endpoint table (``POST /analyze``, ``POST /sta``,
+  ``POST /sweep``), one request skeleton, one health/canary policy and
+  one stdlib ``http.server`` front (``GET /healthz``,
+  ``GET /metrics``); and the daemon on top of it, with a bounded queue,
+  429 admission control, per-request timeouts, and graceful SIGTERM
+  drain.
 * :mod:`repro.service.client` — a dependency-free HTTP client with
   capped, full-jitter retry for transient failures
   (``python -m repro analyze --server`` uses it).

@@ -33,13 +33,14 @@ import os
 import threading
 
 from repro import faults
-from repro.report import REPORT_SCHEMA, STA_REPORT_SCHEMA
+from repro.report import REPORT_SCHEMA, STA_REPORT_SCHEMA, SWEEP_REPORT_SCHEMA
 
-#: Disk entries are re-validated on load; both document kinds the
-#: service caches are legitimate.  (Accepting only run-reports silently
-#: discarded persisted /sta bodies as "corrupt" — a restart lost every
-#: warm STA entry.)
-_DISK_SCHEMAS = frozenset({REPORT_SCHEMA, STA_REPORT_SCHEMA})
+#: Disk entries are re-validated on load; every document kind the
+#: service caches is legitimate.  (A missing schema silently discards
+#: persisted bodies of that kind as "corrupt" — a restart loses every
+#: warm entry of the endpoint.)
+_DISK_SCHEMAS = frozenset({REPORT_SCHEMA, STA_REPORT_SCHEMA,
+                           SWEEP_REPORT_SCHEMA})
 
 
 class ResultCache:

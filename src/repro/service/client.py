@@ -86,21 +86,34 @@ class ServiceError(ReproError):
 
 
 @dataclasses.dataclass(frozen=True)
-class AnalyzeOutcome:
-    """One ``/analyze`` round trip.
-
-    ``document`` is the parsed ``repro.run-report/1`` report; ``body``
-    the exact bytes received; ``cached`` whether the server answered
-    from its result cache; ``key`` the request's content address;
-    ``server_elapsed_s`` the server-side handling time (for a hit, the
-    cache lookup; for a miss, the full analysis).
-    """
+class _Outcome:
+    """One round trip: ``document`` is the parsed report; ``body`` the
+    exact bytes received (a cache hit is bit-identical to the cold
+    response); ``cached`` whether the server answered from its result
+    cache; ``key`` the request's content address; ``server_elapsed_s``
+    the server-side handling time (for a hit, the cache lookup; for a
+    miss, the full computation)."""
 
     document: dict
     body: bytes
     cached: bool
     key: str
     server_elapsed_s: float
+
+    @classmethod
+    def _from_response(cls, body: bytes, headers: dict):
+        return cls(
+            document=json.loads(body),
+            body=body,
+            cached=headers.get("X-Repro-Cache") == "hit",
+            key=headers.get("X-Repro-Key", ""),
+            server_elapsed_s=float(headers.get("X-Repro-Elapsed-S", "nan")),
+        )
+
+
+class AnalyzeOutcome(_Outcome):
+    """One ``/analyze`` round trip; ``document`` is the
+    ``repro.run-report/1`` report."""
 
     @property
     def ok(self) -> bool:
@@ -108,21 +121,9 @@ class AnalyzeOutcome:
         return self.document["totals"]["jobs_failed"] == 0
 
 
-@dataclasses.dataclass(frozen=True)
-class StaOutcome:
-    """One ``/sta`` round trip.
-
-    ``document`` is the parsed ``repro.sta-report/1`` report; ``body``
-    the exact bytes received (a cache hit is bit-identical to the cold
-    response); ``cached``/``key``/``server_elapsed_s`` mirror
-    :class:`AnalyzeOutcome`.
-    """
-
-    document: dict
-    body: bytes
-    cached: bool
-    key: str
-    server_elapsed_s: float
+class StaOutcome(_Outcome):
+    """One ``/sta`` round trip; ``document`` is the
+    ``repro.sta-report/1`` report."""
 
     @property
     def worst_slack_s(self) -> float | None:
@@ -130,21 +131,9 @@ class StaOutcome:
         return self.document["worst_slack_s"]
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepOutcome:
-    """One ``/sweep`` round trip.
-
-    ``document`` is the parsed ``repro.sweep-report/1`` report; ``body``
-    the exact bytes received (a cache hit is bit-identical to the cold
-    response); ``cached``/``key``/``server_elapsed_s`` mirror
-    :class:`AnalyzeOutcome`.
-    """
-
-    document: dict
-    body: bytes
-    cached: bool
-    key: str
-    server_elapsed_s: float
+class SweepOutcome(_Outcome):
+    """One ``/sweep`` round trip; ``document`` is the
+    ``repro.sweep-report/1`` report."""
 
     @property
     def incremental_points(self) -> int:
@@ -221,25 +210,11 @@ class AnalysisClient:
         docstring); the request is idempotent server-side so a retry can
         never double-compute a cached result.
         """
-        payload: dict = {
-            "deck": deck,
-            "nodes": [nodes] if isinstance(nodes, str) else list(nodes),
-        }
-        for name, value in (("order", order), ("error_target", error_target),
-                            ("max_order", max_order), ("threshold", threshold),
-                            ("timeout", timeout), ("reduce", reduce)):
-            if value is not None:
-                payload[name] = value
-        status, body, headers = self._request(
-            "POST", "/analyze", json.dumps(payload).encode("utf-8"),
-            retry=True)
-        return AnalyzeOutcome(
-            document=json.loads(body),
-            body=body,
-            cached=headers.get("X-Repro-Cache") == "hit",
-            key=headers.get("X-Repro-Key", ""),
-            server_elapsed_s=float(headers.get("X-Repro-Elapsed-S", "nan")),
-        )
+        return self._submit(
+            "/analyze", AnalyzeOutcome, deck=deck,
+            nodes=[nodes] if isinstance(nodes, str) else list(nodes),
+            order=order, error_target=error_target, max_order=max_order,
+            threshold=threshold, timeout=timeout, reduce=reduce)
 
     def analyze_file(self, path, nodes, **options) -> AnalyzeOutcome:
         """:meth:`analyze` on a deck file."""
@@ -265,33 +240,17 @@ class AnalysisClient:
         exactly like :meth:`analyze` — ``/sta`` is idempotent
         server-side.
         """
-        payload: dict = {
-            "design": (design.to_canonical_dict()
-                       if hasattr(design, "to_canonical_dict") else design),
-        }
-        if k is not None:
-            payload["k"] = k
         if corners is not None:
-            payload["corners"] = [
-                corner.to_dict() if hasattr(corner, "to_dict") else corner
-                for corner in corners
-            ]
-        if interconnect is not None:
-            payload["interconnect"] = interconnect
-        if library is not None:
-            payload["library"] = (library.to_dict()
-                                  if hasattr(library, "to_dict") else library)
-        if timeout is not None:
-            payload["timeout"] = timeout
-        status, body, headers = self._request(
-            "POST", "/sta", json.dumps(payload).encode("utf-8"), retry=True)
-        return StaOutcome(
-            document=json.loads(body),
-            body=body,
-            cached=headers.get("X-Repro-Cache") == "hit",
-            key=headers.get("X-Repro-Key", ""),
-            server_elapsed_s=float(headers.get("X-Repro-Elapsed-S", "nan")),
-        )
+            corners = [corner.to_dict() if hasattr(corner, "to_dict")
+                       else corner for corner in corners]
+        return self._submit(
+            "/sta", StaOutcome,
+            design=(design.to_canonical_dict()
+                    if hasattr(design, "to_canonical_dict") else design),
+            k=k, corners=corners, interconnect=interconnect,
+            library=(library.to_dict() if hasattr(library, "to_dict")
+                     else library),
+            timeout=timeout)
 
     def sweep(
         self,
@@ -319,26 +278,11 @@ class AnalysisClient:
                         "scale": point.scale, "label": point.label}
             return point
 
-        payload: dict = {
-            "deck": deck,
-            "node": node,
-            "points": [point_dict(point) for point in points],
-        }
-        for name, value in (("mode", mode),
-                            ("first_order_threshold", first_order_threshold),
-                            ("error_bound", error_bound),
-                            ("timeout", timeout)):
-            if value is not None:
-                payload[name] = value
-        status, body, headers = self._request(
-            "POST", "/sweep", json.dumps(payload).encode("utf-8"), retry=True)
-        return SweepOutcome(
-            document=json.loads(body),
-            body=body,
-            cached=headers.get("X-Repro-Cache") == "hit",
-            key=headers.get("X-Repro-Key", ""),
-            server_elapsed_s=float(headers.get("X-Repro-Elapsed-S", "nan")),
-        )
+        return self._submit(
+            "/sweep", SweepOutcome, deck=deck, node=node,
+            points=[point_dict(point) for point in points], mode=mode,
+            first_order_threshold=first_order_threshold,
+            error_bound=error_bound, timeout=timeout)
 
     def healthz(self) -> dict:
         """The health document (raises :class:`ServiceError` with status
@@ -362,6 +306,15 @@ class AnalysisClient:
             return dict(self._counters)
 
     # -- plumbing ------------------------------------------------------
+
+    def _submit(self, path: str, outcome, **fields):
+        """POST the non-``None`` ``fields`` (retried; every endpoint is
+        idempotent server-side) and wrap the answer in ``outcome``."""
+        payload = {name: value for name, value in fields.items()
+                   if value is not None}
+        _, body, headers = self._request(
+            "POST", path, json.dumps(payload).encode("utf-8"), retry=True)
+        return outcome._from_response(body, headers)
 
     def _request(self, method: str, path: str, body: bytes | None = None,
                  retry: bool = False):

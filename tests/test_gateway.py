@@ -1,23 +1,25 @@
-"""Tests for the sharded async gateway (`repro.gateway`).
+"""Tests for the sharded gateway (`repro.gateway`).
 
 Three layers, mirroring the daemon's own suite: `GatewayService.submit`
-driven directly on an event loop (coalescing and shed-load need
-controlled concurrency), `GatewayServer` + the stock `AnalysisClient`
+driven directly from threads (coalescing and shed-load need controlled
+concurrency), `GatewayServer` + the stock `AnalysisClient`
 over real HTTP against attached in-process daemons, and spawn mode with
 real `repro serve` child processes — including the worker-crash
 campaign the acceptance criterion names: injected shard kills, zero
 client-visible failures.
 """
 
-import asyncio
 import glob
 import json
 import os
 import pathlib
 import signal
+import socket
 import subprocess
 import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -94,6 +96,26 @@ def daemons():
 
 
 @pytest.fixture
+def hang_up_shard():
+    """A shard URL that accepts each connection and hangs up unanswered
+    after a pause: every forward is a transport failure that takes long
+    enough for concurrent requests to overlap it."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def hang_up():
+        while True:
+            try:
+                connection, _ = listener.accept()
+            except OSError:
+                return  # the listener was closed
+            threading.Timer(0.1, connection.close).start()
+
+    threading.Thread(target=hang_up, daemon=True).start()
+    yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+    listener.close()
+
+
+@pytest.fixture
 def gateway(daemons):
     server = GatewayServer(
         shard_urls=[daemon.url for daemon in daemons]).start()
@@ -101,18 +123,21 @@ def gateway(daemons):
     server.close()
 
 
-def run_async(coroutine):
-    return asyncio.run(coroutine)
+def run_together(submit, bodies):
+    """Submit every body at once, one thread each: ``[(status, body,
+    headers), ...]`` in input order."""
+    with ThreadPoolExecutor(len(bodies)) as pool:
+        return list(pool.map(submit, bodies))
 
 
 # ----------------------------------------------------------------------
-# GatewayService on a controlled event loop
+# GatewayService driven directly, with controlled concurrency
 # ----------------------------------------------------------------------
 
 
 class TestCoalescing:
     def test_identical_concurrent_keys_run_exactly_one_engine_execution(
-            self, daemons):
+            self, daemons, monkeypatch):
         """The tentpole invariant: a herd of identical requests costs one
         analysis.  Asserted three independent ways — the shard's own
         request/SolverStats counters, the gateway's coalescing counters,
@@ -121,17 +146,24 @@ class TestCoalescing:
         tracer = Tracer(name="gateway-test")
         target = daemons[0].service
 
-        async def main():
-            service = await GatewayService(
-                shard_urls=[daemons[0].url], tracer=tracer).start()
-            before = target.metrics()
-            body = request_body(SLOW_DECK, ["n59"])
-            results = await asyncio.gather(
-                *[service.submit(body) for _ in range(herd)])
-            after = target.metrics()
-            return service.metrics(), before, after, results
+        service = GatewayService(
+            shard_urls=[daemons[0].url], tracer=tracer).start()
 
-        metrics, before, after, results = run_async(main())
+        def held_submit(raw, kind="analyze", submit=target.submit):
+            # Threads are not scheduled in submission order: hold the
+            # one computation until the whole herd has joined it.
+            deadline = time.monotonic() + 30
+            while (service.metrics()["coalesced_requests"] < herd - 1
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+            return submit(raw, kind)
+
+        monkeypatch.setattr(target, "submit", held_submit)
+        before = target.metrics()
+        body = request_body(SLOW_DECK, ["n59"])
+        results = run_together(service.submit, [body] * herd)
+        after = target.metrics()
+        metrics = service.metrics()
 
         # One engine execution: the daemon saw exactly one request, its
         # cache missed exactly once, and the solver actually ran.
@@ -157,16 +189,37 @@ class TestCoalescing:
         assert events.count("coalesce_join") == herd - 1
         assert events.count("shard_route") == 1
 
-    def test_coalesced_result_lands_in_gateway_cache(self, daemons):
-        async def main():
-            service = await GatewayService(
-                shard_urls=[daemons[0].url]).start()
-            body = request_body(FAST_DECK, ["2"])
-            first = await service.submit(body)
-            second = await service.submit(body)
-            return first, second
+    def test_concurrent_copies_forward_and_parse_each_key_once(self, daemons):
+        """Stress the shared flight table and canonicalization memo: five
+        rounds of 64 threads over 8 fresh bodies, a near-zero switch
+        interval.  A lost update would forward a key twice or parse a
+        body twice."""
+        service = GatewayService(shard_urls=[daemons[0].url]).start()
+        statuses = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for first in range(0, 40, 8):
+                bodies = [request_body(FAST_DECK, ["2"], threshold=0.1 * step)
+                          for step in range(first + 1, first + 9)] * 8
+                statuses += [status for status, _, _ in
+                             run_together(service.submit, bodies)]
+        finally:
+            sys.setswitchinterval(previous)
+        metrics = service.metrics()
 
-        (s1, b1, h1), (s2, b2, h2) = run_async(main())
+        assert statuses == [200] * 320
+        assert daemons[0].service.metrics()["requests_total"] == 40
+        assert metrics["requests_ok"] == metrics["requests_total"] == 320
+        assert metrics["canon_memo_hits"] == 280
+        assert metrics["coalesced_requests"] + metrics["cache_hits"] == 280
+
+    def test_coalesced_result_lands_in_gateway_cache(self, daemons):
+        service = GatewayService(shard_urls=[daemons[0].url]).start()
+        body = request_body(FAST_DECK, ["2"])
+        s1, b1, h1 = service.submit(body)
+        s2, b2, h2 = service.submit(body)
+
         assert s1 == s2 == 200
         assert h1["X-Repro-Cache"] == "miss"
         assert h2["X-Repro-Cache"] == "hit"
@@ -175,15 +228,12 @@ class TestCoalescing:
     def test_failed_reports_are_not_cached_by_gateway(self, daemons):
         """A report whose jobs failed (here: an impossible per-request
         timeout enforced by the shard) must stay a retryable miss."""
-        async def main():
-            service = await GatewayService(
-                shard_urls=[daemons[0].url]).start()
-            body = request_body(SLOW_DECK, ["n59"], timeout=1e-4)
-            first = await service.submit(body)
-            await service.wait_drained()
-            return first, service.cache.stats()
+        service = GatewayService(shard_urls=[daemons[0].url]).start()
+        body = request_body(SLOW_DECK, ["n59"], timeout=1e-4)
+        status, body, _headers = service.submit(body)
+        service.wait_drained()
+        cache_stats = service.cache.stats()
 
-        (status, body, _headers), cache_stats = run_async(main())
         # The shard returns 504 (budget exceeded) — not 200 — so nothing
         # may enter the gateway cache.
         assert status in (200, 504)
@@ -193,23 +243,22 @@ class TestCoalescing:
 
 
 class TestShedLoad:
-    def test_dead_shard_degrades_and_sheds_with_one_canary(self):
+    def test_dead_shard_degrades_and_sheds_with_one_canary(
+            self, hang_up_shard):
         """Routing to a black-holed shard: after `degraded_threshold`
         transport failures the shard sheds load — one canary probes,
         the rest get an immediate 503 + Retry-After."""
-        dead = "http://127.0.0.1:9"  # discard port: connection refused
+        dead = hang_up_shard
 
-        async def main():
-            service = await GatewayService(
-                shard_urls=[dead], degraded_threshold=1).start()
-            first = await service.submit(request_body(FAST_DECK, ["1"]))
-            herd = await asyncio.gather(*[
-                service.submit(request_body(FAST_DECK, ["2"], order=order))
-                for order in (1, 2, 3)
-            ])
-            return first, herd, service.metrics()
+        service = GatewayService(
+            shard_urls=[dead], degraded_threshold=1).start()
+        first = service.submit(request_body(FAST_DECK, ["1"]))
+        herd = run_together(service.submit, [
+            request_body(FAST_DECK, ["2"], order=order)
+            for order in (1, 2, 3)
+        ])
+        metrics = service.metrics()
 
-        first, herd, metrics = run_async(main())
         assert first[0] == 503
         assert metrics["shard_health"][0]["degraded"]
         statuses = sorted(status for status, _, _ in herd)
@@ -225,16 +274,13 @@ class TestShedLoad:
     def test_recovery_clears_degraded(self, daemons):
         """An attached shard that starts answering again clears the
         degraded flag on the first clean response."""
-        async def main():
-            service = await GatewayService(
-                shard_urls=[daemons[0].url], degraded_threshold=1).start()
-            service._health[0]["degraded"] = True
-            service._health[0]["consecutive_errors"] = 3
-            status, _, _ = await service.submit(
-                request_body(FAST_DECK, ["1"]))
-            return status, service.metrics()
+        service = GatewayService(
+            shard_urls=[daemons[0].url], degraded_threshold=1).start()
+        service._health[0].degraded = True
+        service._health[0].consecutive = 3
+        status, _, _ = service.submit(request_body(FAST_DECK, ["1"]))
+        metrics = service.metrics()
 
-        status, metrics = run_async(main())
         assert status == 200
         assert not metrics["shard_health"][0]["degraded"]
         assert metrics["shard_health"][0]["consecutive_errors"] == 0
@@ -242,18 +288,15 @@ class TestShedLoad:
 
 class TestDrain:
     def test_drain_refuses_new_work_but_serves_hits(self, daemons):
-        async def main():
-            service = await GatewayService(
-                shard_urls=[daemons[0].url]).start()
-            body = request_body(FAST_DECK, ["2"])
-            warm = await service.submit(body)
-            service.begin_drain()
-            hit = await service.submit(body)
-            refused = await service.submit(request_body(FAST_DECK, ["1"]))
-            await service.wait_drained()
-            return warm, hit, refused, service.healthz()
+        service = GatewayService(shard_urls=[daemons[0].url]).start()
+        body = request_body(FAST_DECK, ["2"])
+        warm = service.submit(body)
+        service.begin_drain()
+        hit = service.submit(body)
+        refused = service.submit(request_body(FAST_DECK, ["1"]))
+        service.wait_drained()
+        health_status, health_body = service.healthz()
 
-        warm, hit, refused, (health_status, health_body) = run_async(main())
         assert warm[0] == 200
         assert hit[0] == 200 and hit[2]["X-Repro-Cache"] == "hit"
         assert refused[0] == 503
@@ -262,15 +305,12 @@ class TestDrain:
         assert json.loads(health_body)["status"] == "draining"
 
     def test_request_timeout_is_504(self, daemons):
-        async def main():
-            service = await GatewayService(
-                shard_urls=[daemons[0].url]).start()
-            status, body, _ = await service.submit(
-                request_body(SLOW_DECK, ["n59"], timeout=0.001))
-            await service.wait_drained()
-            return status, body, service.metrics()
+        service = GatewayService(shard_urls=[daemons[0].url]).start()
+        status, body, _ = service.submit(
+            request_body(SLOW_DECK, ["n59"], timeout=0.001))
+        service.wait_drained()
+        metrics = service.metrics()
 
-        status, body, metrics = run_async(main())
         assert status == 504
         assert b"budget" in body
         assert metrics["request_timeouts"] >= 1
@@ -278,25 +318,20 @@ class TestDrain:
 
 class TestValidation:
     def test_bad_json_is_400_without_touching_a_shard(self):
-        async def main():
-            service = await GatewayService(
-                shard_urls=["http://127.0.0.1:9"]).start()
-            return await service.submit(b"{not json"), service.metrics()
+        service = GatewayService(shard_urls=["http://127.0.0.1:9"]).start()
+        status, body, _ = service.submit(b"{not json")
+        metrics = service.metrics()
 
-        (status, body, _), metrics = run_async(main())
         assert status == 400
         assert "JSON" in json.loads(body)["error"]
         assert metrics["bad_requests"] == 1
         assert metrics["shard_errors"] == 0
 
     def test_unparseable_deck_is_400(self):
-        async def main():
-            service = await GatewayService(
-                shard_urls=["http://127.0.0.1:9"]).start()
-            return await service.submit(
-                request_body("bad\nR1 lonely\n.end\n", ["1"]))
+        service = GatewayService(shard_urls=["http://127.0.0.1:9"]).start()
+        status, body, _ = service.submit(
+            request_body("bad\nR1 lonely\n.end\n", ["1"]))
 
-        status, body, _ = run_async(main())
         assert status == 400
         assert json.loads(body)["error_type"] == "NetlistParseError"
 

@@ -206,3 +206,30 @@ class TestDiskSchemas:
         assert rebooted.get("sta-key") == sta
         assert rebooted.stats()["cache_disk_hits"] == 1
         assert (tmp_path / "cache" / "sta-key.json").exists()
+
+    def test_every_endpoints_report_round_trips_through_disk(self, tmp_path):
+        """Each `ENDPOINTS` row's clean report survives a restart (the
+        `/sweep` schema was missing, so its disk entries were dropped)."""
+        from repro.engine import BatchEngine
+        from repro.service.server import ENDPOINTS, canonicalize
+
+        requests = {
+            "analyze": {"deck": "d\nVin in 0 STEP(0 5)\nR1 in 1 1k\n"
+                                "C1 1 0 1p\n.end\n", "nodes": ["1"]},
+            "sta": {"design": {
+                "name": "disk", "inputs": [{"name": "i1", "net": "n"}],
+                "outputs": [{"name": "o1", "net": "n", "required": 1e-9}],
+                "instances": [], "nets": [{"name": "n", "segments": []}]}},
+            "sweep": {"deck": "d\nVin in 0 STEP(0 5)\nR1 in 1 1k\n"
+                              "C1 1 0 1p\n.end\n", "node": "1",
+                      "points": [{"element": "R1", "scale": 2.0}]},
+        }
+        assert set(requests) == set(ENDPOINTS)
+        directory = str(tmp_path / "cache")
+        for kind, payload in requests.items():
+            _, params = canonicalize(kind, json.dumps(payload).encode())
+            document, _ = ENDPOINTS[kind].run(params, BatchEngine(), None,
+                                              0.0)
+            body = (json.dumps(document) + "\n").encode()
+            ResultCache(directory=directory).put(kind, body)
+            assert ResultCache(directory=directory).get(kind) == body, kind
