@@ -156,8 +156,15 @@ def run_loadgen(url: str, payloads: list, *, concurrency: int = 8,
             with failures_lock:
                 failures.append({"index": index, "error": detail})
 
-    started = time.perf_counter()
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
+        # Start every worker before the clock: the pool starts its
+        # threads one at a time as work arrives, which would spread the
+        # first round's copies over that ramp-up.
+        ready = threading.Barrier(concurrency + 1)
+        for _ in range(concurrency):
+            pool.submit(ready.wait)
+        ready.wait()
+        started = time.perf_counter()
         list(pool.map(one, range(len(payloads))))
     elapsed = time.perf_counter() - started
 
