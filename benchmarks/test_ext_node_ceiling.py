@@ -21,8 +21,8 @@ The quick run (always on) records the three curves at modest sizes into
 ``REPRO_SCALING_FULL=1`` (the nightly CI job does) for the full study:
 the 10⁴-node regression floor — sparse must beat dense end-to-end by at
 least 5x — and the 10⁵-node ceiling proof: a hundred-thousand-node net
-must complete under sparse+reduced without ever materialising a dense
-matrix.  ``docs/scaling.md`` walks through reading the recorded numbers.
+must complete under plain sparse and under sparse+reduced without ever
+materialising a dense matrix.  ``docs/scaling.md`` walks through reading the recorded numbers.
 """
 
 import os
@@ -136,10 +136,13 @@ def test_node_ceiling_full():
     reduced4 = _measure(n4, None, True, repeat=2)
     floor = dense4["seconds"] / sparse4["seconds"]
 
-    # 10⁵ nodes: pre-reduce, then the sparse backend must be auto-picked
-    # and carry the analysis end to end (a dense matrix at this size
-    # would be 80 GB — ``use_sparse`` proves it never existed).
+    # 10⁵ nodes, with and without pre-reduction: the sparse backend must
+    # be auto-picked and carry the analysis end to end (a dense matrix at
+    # this size would be 80 GB — ``use_sparse`` proves it never existed).
+    # Plain sparse carries no floor; its time decides whether reduction
+    # still pays.
     n5 = 100_000
+    sparse5 = _measure(n5, None, False, repeat=1)
     reduced5 = _measure(n5, None, True, repeat=1)
 
     report(
@@ -149,6 +152,8 @@ def test_node_ceiling_full():
             ("10^4 sparse", ">= 5x faster", f"{sparse4['seconds']:.3f} s ({floor:.0f}x)"),
             ("10^4 reduced", "Python pre-pass dominates",
              f"{reduced4['seconds']:.3f} s"),
+            ("10^5 sparse", "completes, never dense",
+             f"{sparse5['seconds']:.2f} s, dim {sparse5['dimension']}"),
             ("10^5 sparse+reduced", "completes, never dense",
              f"{reduced5['seconds']:.2f} s, dim {reduced5['dimension']}"),
         ],
@@ -157,6 +162,7 @@ def test_node_ceiling_full():
     assert floor >= 5.0, (
         f"sparse regression: only {floor:.1f}x faster than dense at 10^4 nodes"
     )
+    assert sparse5["use_sparse"], "10^5-node net fell back to dense assembly"
     assert reduced5["use_sparse"], "10^5-node net fell back to dense assembly"
     assert np.isfinite(reduced5["delay_50_s"]) and reduced5["delay_50_s"] > 0
     # Reduction shrinks the ladder ~9x before stamping.
@@ -169,6 +175,8 @@ def test_node_ceiling_full():
             "sparse_1e4_s": sparse4["seconds"],
             "reduced_1e4_s": reduced4["seconds"],
             "sparse_over_dense_1e4": floor,
+            "sparse_1e5_s": sparse5["seconds"],
+            "sparse_1e5_delay_50_s": sparse5["delay_50_s"],
             "reduced_1e5_s": reduced5["seconds"],
             "reduced_1e5_dimension": reduced5["dimension"],
             "reduced_1e5_delay_50_s": reduced5["delay_50_s"],

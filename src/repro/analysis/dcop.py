@@ -22,7 +22,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.circuit.elements import Capacitor, Inductor
+from repro.circuit.elements import GROUND
 from repro.circuit.netlist import Circuit
 from repro.analysis.mna import MnaSystem
 from repro.errors import AnalysisError
@@ -153,121 +153,37 @@ def initial_operating_point(
 ):
     """The full MNA vector at t = 0⁺ (optionally with state derivatives).
 
-    Builds an auxiliary resistive circuit in which capacitors are replaced
-    by ideal voltage sources at their initial voltages and inductors by
-    ideal current sources at their initial currents, solves its DC
-    operating point, and maps the solution back onto the original MNA
-    vector layout.
+    One solve with the system's t = 0⁺ matrix
+    (:meth:`~repro.analysis.mna.MnaSystem.solve_t0`): capacitors act as
+    ideal voltage sources at their initial voltages and inductors as
+    ideal current sources at their initial currents.
 
-    When capacitors form loops (coupling caps such as the paper's Fig. 22
-    create them through ground), substituting a source for *every* cap
-    would build a voltage-source loop; instead only a spanning forest of
-    the capacitive graph is substituted and the remaining "link" caps are
-    left open.  Their initial voltages are then implied, and a consistency
-    check rejects contradictory initial conditions around a loop (which
-    would require impulsive charge redistribution — out of scope for AWE
-    and for this reproduction).
+    When capacitors form loops (the paper's Fig. 22 coupling cap closes
+    one through ground), only a spanning forest of them is pinned
+    (:attr:`~repro.analysis.mna.MnaSystem.capacitor_forest`).  A "link"
+    cap's voltage is then implied, and contradictory loop ICs are
+    rejected: they would need impulsive charge redistribution, which AWE
+    does not model.
 
-    With ``with_rates=True`` also returns a :class:`StorageRates` read from
-    the same solve: the substituted voltage sources' branch currents are
-    the capacitor currents and the substituted current sources' terminal
-    voltages are the inductor voltages.  Rates are only available for
-    loop-free capacitor arrangements (link caps divert current the branch
-    reading cannot see); ``StorageRates`` is replaced by ``None`` when caps
-    form loops.
+    With ``with_rates=True`` also returns the :class:`StorageRates` of the
+    same solve (forest capacitor currents, inductor terminal voltages),
+    or ``None`` in its place when caps form loops, since link caps divert
+    current the solve does not report.
     """
-    from repro.circuit.elements import CCCS, CCVS
-
-    def controls_an_inductor(element) -> bool:
-        return isinstance(element, (CCCS, CCVS)) and isinstance(
-            circuit[element.control_element], Inductor
-        )
-
-    # Spanning forest of the capacitive graph: a cap joining two nodes
-    # already capacitively connected becomes an open "link" cap.  Caps with
-    # explicit initial conditions are claimed into the forest first so a
-    # user-specified IC is always honoured directly when possible.
-    forest_parent: dict[str, str] = {}
-
-    def find(node: str) -> str:
-        while forest_parent.get(node, node) != node:
-            forest_parent[node] = forest_parent.get(forest_parent[node], forest_parent[node])
-            node = forest_parent[node]
-        return node
-
-    link_caps: list[Capacitor] = []
-    ordered_caps = sorted(
-        circuit.capacitors, key=lambda cap: cap.initial_voltage is None
+    x0, cap_currents = system.solve_t0(
+        source_values, storage.capacitor_voltages, storage.inductor_currents
     )
-    for cap in ordered_caps:
-        root_p, root_n = find(cap.positive), find(cap.negative)
-        if root_p == root_n:
-            link_caps.append(cap)
-        else:
-            forest_parent[root_p] = root_n
-    link_cap_names = {cap.name for cap in link_caps}
+    forest, links = system.capacitor_forest
 
-    aux = Circuit(title=f"{circuit.title} [t=0+ auxiliary]")
-    extra_values: dict[str, float] = {}
-    for element in circuit:
-        if isinstance(element, Capacitor):
-            if element.name in link_cap_names:
-                continue
-            aux.add_voltage_source(
-                element.name,
-                element.positive,
-                element.negative,
-                dc=storage.capacitor_voltages[element.name],
-            )
-        elif isinstance(element, Inductor):
-            aux.add_current_source(
-                element.name,
-                element.positive,
-                element.negative,
-                dc=storage.inductor_currents[element.name],
-            )
-        elif controls_an_inductor(element):
-            # The controlling inductor became a current source, so the
-            # controlled source's output is a known independent value.
-            known = element.gain * storage.inductor_currents[element.control_element]
-            if isinstance(element, CCCS):
-                aux.add_current_source(element.name, element.positive, element.negative, dc=known)
-            else:
-                aux.add_voltage_source(element.name, element.positive, element.negative, dc=known)
-            extra_values[element.name] = known
-        else:
-            aux.add(element)
-
-    aux_system = MnaSystem(aux)
-    aux_values = dict(source_values)
-    aux_values.update(extra_values)
-    for cap in circuit.capacitors:
-        if cap.name not in link_cap_names:
-            aux_values[cap.name] = storage.capacitor_voltages[cap.name]
-    for ind in circuit.inductors:
-        aux_values[ind.name] = storage.inductor_currents[ind.name]
-    aux_x = dc_operating_point(aux_system, aux_values)
-
-    x0 = np.zeros(system.dimension)
-    for i, node in enumerate(system.index.node_names):
-        x0[i] = aux_x[aux_system.index.node(node)]
-    for element_name in system.index.current_elements:
-        element = circuit[element_name]
-        row = system.index.current(element_name)
-        if isinstance(element, Inductor):
-            x0[row] = storage.inductor_currents[element_name]
-        else:
-            x0[row] = aux_x[aux_system.index.current(element_name)]
-
-    def solved_voltage(name: str) -> float:
-        return 0.0 if name == "0" else float(aux_x[aux_system.index.node(name)])
+    def voltage(name: str) -> float:
+        return 0.0 if name == GROUND else float(x0[system.index.node(name)])
 
     voltage_scale = max(
         (abs(v) for v in storage.capacitor_voltages.values()), default=0.0
     )
     voltage_scale = max(voltage_scale, np.abs(x0).max(initial=0.0), 1.0)
-    for cap in link_caps:
-        implied = solved_voltage(cap.positive) - solved_voltage(cap.negative)
+    for cap in links:
+        implied = voltage(cap.positive) - voltage(cap.negative)
         specified = storage.capacitor_voltages[cap.name]
         if abs(implied - specified) > 1e-9 * voltage_scale:
             raise AnalysisError(
@@ -278,21 +194,16 @@ def initial_operating_point(
             )
     if not with_rates:
         return x0
-    if link_caps:
+    if links:
         return x0, None
-
-    def aux_voltage(name: str) -> float:
-        return 0.0 if name == "0" else float(aux_x[aux_system.index.node(name)])
-
-    cap_rates = {}
-    for cap in circuit.capacitors:
-        current = float(aux_x[aux_system.index.current(cap.name)])
-        cap_rates[cap.name] = current / cap.capacitance
-    ind_rates = _inductor_rates(circuit, aux_voltage)
-    return x0, StorageRates(cap_rates, ind_rates)
+    cap_rates = {
+        cap.name: float(current) / cap.capacitance
+        for cap, current in zip(forest, cap_currents)
+    }
+    return x0, StorageRates(cap_rates, _inductor_rates(circuit, voltage))
 
 
-def _inductor_rates(circuit: Circuit, aux_voltage) -> dict[str, float]:
+def _inductor_rates(circuit: Circuit, voltage) -> dict[str, float]:
     """di/dt at t = 0⁺ from the inductor terminal voltages.
 
     Without magnetic coupling each rate is v_L/L; with mutual inductances
@@ -303,7 +214,7 @@ def _inductor_rates(circuit: Circuit, aux_voltage) -> dict[str, float]:
     if not inductors:
         return {}
     voltages = np.array(
-        [aux_voltage(ind.positive) - aux_voltage(ind.negative) for ind in inductors]
+        [voltage(ind.positive) - voltage(ind.negative) for ind in inductors]
     )
     if not circuit.mutual_inductances:
         return {

@@ -211,6 +211,7 @@ class MnaSystem:
             )
         self.tracer.event("backend_selected", **event)
         self._lu = None
+        self._t0_lu = None
 
     # -- assembly ------------------------------------------------------
 
@@ -294,36 +295,33 @@ class MnaSystem:
         depending on :attr:`use_sparse`; callers should prefer
         :meth:`solve_augmented`, which dispatches."""
         if self._lu is None:
-            with self.tracer.span("lu", stats=self.stats,
-                                  dimension=self.index.dimension):
-                with self.stats.timer("factor_time_s"):
-                    self._lu = self._factorise()
-                self.stats.add("lu_factorizations", 1)
+            self._lu = self._factor(self.G_aug, "lu", "lu_factorizations", "DC")
         return self._lu
 
-    def _factorise(self):
+    def _factor(self, matrix, span: str, counter: str, what: str):
+        """Factor ``matrix`` under a trace span, counting it in ``counter``."""
+        with self.tracer.span(span, stats=self.stats, dimension=matrix.shape[0]):
+            with self.stats.timer("factor_time_s"):
+                factor = self._factorise(matrix, what)
+            self.stats.add(counter, 1)
+        return factor
+
+    def _factorise(self, matrix, what: str):
         import warnings
 
-        if self.use_sparse:
-            from scipy.sparse import csc_matrix, issparse
+        if scipy.sparse.issparse(matrix):
             from scipy.sparse.linalg import splu
 
-            matrix = (
-                self.G_aug.tocsc()
-                if issparse(self.G_aug)
-                else csc_matrix(self.G_aug)
-            )
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     factor = splu(matrix)
             except RuntimeError as exc:  # SuperLU raises RuntimeError
                 raise SingularCircuitError(
-                    f"circuit {self.circuit.title!r} has no unique DC "
+                    f"circuit {self.circuit.title!r} has no unique {what} "
                     f"solution: {exc}"
                 ) from exc
-            diag = np.abs(factor.U.diagonal())
-            self._check_diagonal(diag)
+            self._check_diagonal(np.abs(factor.U.diagonal()), what)
             return factor
 
         try:
@@ -331,26 +329,37 @@ class MnaSystem:
                 # Singularity is detected and reported below with a
                 # circuit-level message; the LAPACK warning is noise.
                 warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                factor = scipy.linalg.lu_factor(self.G_aug)
+                factor = scipy.linalg.lu_factor(matrix)
         except scipy.linalg.LinAlgError as exc:
             raise SingularCircuitError(
-                f"circuit {self.circuit.title!r} has no unique DC solution: {exc}"
+                f"circuit {self.circuit.title!r} has no unique {what} "
+                f"solution: {exc}"
             ) from exc
         if not np.all(np.isfinite(factor[0])):
             raise SingularCircuitError(
-                f"circuit {self.circuit.title!r} has no unique DC solution"
+                f"circuit {self.circuit.title!r} has no unique {what} solution"
             )
-        self._check_diagonal(np.abs(np.diag(factor[0])))
+        self._check_diagonal(np.abs(np.diag(factor[0])), what)
         return factor
 
-    def _check_diagonal(self, diag: np.ndarray) -> None:
+    def _check_diagonal(self, diag: np.ndarray, what: str) -> None:
         scale = max(diag.max(initial=0.0), 1.0)
         if not np.all(np.isfinite(diag)) or diag.min(initial=np.inf) <= scale * 1e-14:
             raise SingularCircuitError(
-                f"circuit {self.circuit.title!r} has a (near-)singular DC system; "
-                "check for floating nodes, voltage-source loops, or "
+                f"circuit {self.circuit.title!r} has a (near-)singular {what} "
+                "system; check for floating nodes, voltage-source loops, or "
                 "current-source cutsets"
             )
+
+    def _solve(self, factor, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """One counted forward/back substitution on ``factor`` for a
+        vector or a matrix of column right-hand sides."""
+        self.stats.add("triangular_solves", 1)
+        self.stats.add("solve_columns", 1 if rhs.ndim == 1 else rhs.shape[1])
+        with self.stats.timer("solve_time_s"):
+            if isinstance(factor, tuple):  # LAPACK (lu, piv)
+                return scipy.linalg.lu_solve(factor, rhs, trans=int(transpose))
+            return factor.solve(rhs, trans="T" if transpose else "N")
 
     def solve_augmented(
         self,
@@ -388,7 +397,6 @@ class MnaSystem:
                 f"solve_augmented expects a vector or a matrix of column "
                 f"right-hand sides, got ndim={rhs.ndim}"
             )
-        columns = 1 if rhs.ndim == 1 else rhs.shape[1]
         if self.charge_rows and not transpose:
             if charge_values is None:
                 charge_values = np.zeros(len(self.charge_rows))
@@ -396,13 +404,93 @@ class MnaSystem:
             if rhs.ndim == 2 and charge_values.ndim == 1:
                 charge_values = charge_values[:, np.newaxis]
             rhs[list(self.charge_rows)] = charge_values
-        factor = self.lu()
-        self.stats.add("triangular_solves", 1)
-        self.stats.add("solve_columns", columns)
-        with self.stats.timer("solve_time_s"):
-            if self.use_sparse:
-                return factor.solve(rhs, trans="T" if transpose else "N")
-            return scipy.linalg.lu_solve(factor, rhs, trans=int(transpose))
+        return self._solve(self.lu(), rhs, transpose)
+
+    # -- the t = 0⁺ system ---------------------------------------------
+
+    @functools.cached_property
+    def capacitor_forest(self) -> tuple[tuple[Capacitor, ...], tuple[Capacitor, ...]]:
+        """``(forest, links)``: a spanning forest of the capacitive graph,
+        in circuit order, and the capacitors that close its loops.
+
+        Capacitors with an explicit initial condition are claimed into
+        the forest first, so a user-specified IC is honoured directly
+        whenever possible."""
+        parent: dict[str, str] = {}
+
+        def find(node: str) -> str:
+            while parent.get(node, node) != node:
+                parent[node] = parent.get(parent[node], parent[node])
+                node = parent[node]
+            return node
+
+        capacitors = self.circuit.capacitors
+        links = []
+        for cap in sorted(capacitors, key=lambda cap: cap.initial_voltage is None):
+            root_p, root_n = find(cap.positive), find(cap.negative)
+            if root_p == root_n:
+                links.append(cap)
+            else:
+                parent[root_p] = root_n
+        link_names = {cap.name for cap in links}
+        forest = tuple(cap for cap in capacitors if cap.name not in link_names)
+        return forest, tuple(links)
+
+    def _t0_matrix(self):
+        """``G`` with each inductor's branch row replaced by ``i_L = i_L(0)``,
+        bordered by the incidence of the forest capacitors, whose currents
+        become unknowns.  Inductor-controlled CCCS/CCVS stamps read the
+        inductor-current column that the replaced row pins.  Dense only on
+        the dense backend below the sparse threshold, since the border can
+        double the dimension."""
+        forest, _ = self.capacitor_forest
+        dim = self.dimension
+        size = dim + len(forest)
+        pinned = [self.index.current(ind.name) for ind in self.circuit.inductors]
+        rows, cols, vals = list(pinned), list(pinned), [1.0] * len(pinned)
+        for column, cap in enumerate(forest, start=dim):
+            for name, sign in ((cap.positive, 1.0), (cap.negative, -1.0)):
+                if name != GROUND:
+                    row = self.index.node(name)
+                    rows += (row, column)
+                    cols += (column, row)
+                    vals += (sign, sign)
+        if not self.use_sparse and size < _SPARSE_THRESHOLD:
+            matrix = np.zeros((size, size))
+            matrix[:dim, :dim] = self.G
+            matrix[pinned] = 0.0
+            matrix[rows, cols] = vals
+            return matrix
+        G = scipy.sparse.coo_matrix(self.G)
+        keep = ~np.isin(G.row, pinned)
+        return scipy.sparse.csc_matrix((
+            np.concatenate([G.data[keep], vals]),
+            (np.concatenate([G.row[keep], rows]), np.concatenate([G.col[keep], cols])),
+        ), shape=(size, size))
+
+    def solve_t0(
+        self,
+        source_values: dict[str, float] | np.ndarray,
+        capacitor_voltages: dict[str, float],
+        inductor_currents: dict[str, float],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``x(0⁺)`` and the forest capacitors' currents from one solve
+        of the t = 0⁺ system.  Its matrix depends on the circuit alone, not
+        on the initial state or the sources, so it is factored once, on
+        first use, under a ``t0_lu`` span and counted in
+        ``t0_factorizations``."""
+        if self._t0_lu is None:
+            self._t0_lu = self._factor(
+                self._t0_matrix(), "t0_lu", "t0_factorizations", "t = 0⁺")
+        forest, _ = self.capacitor_forest
+        rhs = np.concatenate([
+            self.B @ self.source_vector(source_values),
+            [capacitor_voltages[cap.name] for cap in forest],
+        ])
+        for ind in self.circuit.inductors:
+            rhs[self.index.current(ind.name)] = inductor_currents[ind.name]
+        solution = self._solve(self._t0_lu, rhs)
+        return solution[:self.dimension], solution[self.dimension:]
 
     def source_vector(self, values: dict[str, float] | np.ndarray) -> np.ndarray:
         """Build ``u`` from a name->value mapping (missing sources are 0)

@@ -34,45 +34,47 @@ import numpy as np
 from repro.core.model import PoleResidueModel, Term
 
 
-def _bilinear_integral(terms_a: list[Term], terms_b: list[Term]) -> complex:
+def _bilinear_integral(
+    terms_a: list[Term], terms_b: list[Term]
+) -> tuple[complex, float]:
     """``∫₀^∞ f(t) g(t) dt`` for polynomial-exponential term lists.
 
     A term ``(p, j, k)`` denotes ``k · t^{j−1} e^{pt} / (j−1)!``.
-    Returns complex; the caller decides whether an imaginary part is
+    Returns the complex sum and ``Σ|piece|``, the magnitude its roundoff
+    scales with; the caller decides whether an imaginary part is
     legitimate.  Requires every pairwise pole sum to decay.
     """
     total = 0.0 + 0.0j
+    magnitude = 0.0
     for pole_a, power_a, residue_a in terms_a:
         for pole_b, power_b, residue_b in terms_b:
             sigma = pole_a + pole_b
             if sigma.real >= 0.0:
-                return complex(np.inf)
+                return complex(np.inf), np.inf
             a, b = power_a - 1, power_b - 1
             coefficient = (
                 residue_a
                 * residue_b
                 / (math.factorial(a) * math.factorial(b))
             )
-            total += coefficient * math.factorial(a + b) / (-sigma) ** (a + b + 1)
-    return total
+            piece = coefficient * math.factorial(a + b) / (-sigma) ** (a + b + 1)
+            total += piece
+            magnitude += abs(piece)
+    return total, magnitude
 
 
 def transient_energy(model: PoleResidueModel) -> float:
     """``∫₀^∞ v̂(t)² dt`` of the transient part (the normaliser, eq. 37)."""
     if not model.is_stable:
         return float("inf")
-    value = _bilinear_integral(list(model.terms), list(model.terms))
-    return _as_energy(value)
+    return _as_energy(*_bilinear_integral(list(model.terms), list(model.terms)))
 
 
 def exact_l2_distance(reference: PoleResidueModel, candidate: PoleResidueModel) -> float:
     """Exact ``sqrt(∫ (v_ref − v̂)² dt)`` between two transient models."""
     if not (reference.is_stable and candidate.is_stable):
         return float("inf")
-    difference = list(reference.terms) + [
-        (pole, power, -residue) for pole, power, residue in candidate.terms
-    ]
-    return math.sqrt(_as_energy(_bilinear_integral(difference, difference)))
+    return math.sqrt(_group_difference_energy(reference.terms, candidate.terms))
 
 
 def relative_error(reference: PoleResidueModel, candidate: PoleResidueModel) -> float:
@@ -88,12 +90,15 @@ def relative_error(reference: PoleResidueModel, candidate: PoleResidueModel) -> 
     return exact_l2_distance(reference, candidate) / math.sqrt(norm_squared)
 
 
-def _as_energy(value: complex) -> float:
-    """Validate that a squared-norm integral came out real and non-negative."""
+def _as_energy(value: complex, magnitude: float) -> float:
+    """Validate that a squared-norm integral came out real and non-negative.
+
+    The imaginary part is roundoff of the summands, so it is judged
+    against their ``magnitude``, not against a ``value`` that a
+    q-vs-(q+1) difference can cancel almost to zero."""
     if not np.isfinite(value.real):
         return float("inf")
-    scale = abs(value)
-    if scale > 0 and abs(value.imag) > 1e-8 * scale:
+    if abs(value.imag) > 1e-8 * magnitude:
         raise ArithmeticError(
             f"energy integral has a non-negligible imaginary part ({value})"
         )
@@ -134,7 +139,7 @@ def _conjugate_groups(terms: list[Term]) -> list[list[Term]]:
 def _group_difference_energy(group_a: list[Term], group_b: list[Term]) -> float:
     """``E_i = ∫ (f_a − f_b)² dt`` for two real term groups (eq. 45/46)."""
     difference = list(group_a) + [(p, j, -k) for p, j, k in group_b]
-    return _as_energy(_bilinear_integral(difference, difference))
+    return _as_energy(*_bilinear_integral(difference, difference))
 
 
 def cauchy_bound_distance(reference: PoleResidueModel, candidate: PoleResidueModel) -> float:

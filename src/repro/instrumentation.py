@@ -23,6 +23,7 @@ from contextlib import contextmanager
 #: Ordered counter/timer field names; the canonical dict layout.
 STAT_FIELDS: tuple[str, ...] = (
     "lu_factorizations",
+    "t0_factorizations",
     "triangular_solves",
     "solve_columns",
     "moment_solves",

@@ -31,7 +31,7 @@ calls out, and the reason AWE fits whole waveforms instead).
 from __future__ import annotations
 
 from repro.analysis.dcop import (
-    dc_operating_point,
+    final_operating_point,
     initial_operating_point,
     resolve_initial_storage_state,
 )
@@ -40,6 +40,29 @@ from repro.circuit.elements import GROUND, canonical_node
 from repro.circuit.netlist import Circuit
 from repro.core.moments import homogeneous_moments
 from repro.errors import AnalysisError
+
+
+def _release_moments(
+    circuit: Circuit,
+    source_values: dict[str, float] | None,
+    pre_source_values: dict[str, float] | None,
+):
+    """The eq. 3 pipeline both entry points share.
+
+    Resolves the post-switch (default ``dc``) and pre-switch (default
+    ``dc0``) source levels, then storage → ``x(0⁺)`` → final state →
+    moments of the homogeneous response ``y0 = x(0⁺) − x(∞)``.
+    """
+    system = MnaSystem(circuit)
+    sources = [*circuit.voltage_sources, *circuit.current_sources]
+    post = {s.name: s.dc for s in sources}
+    pre = {s.name: s.dc0 for s in sources}
+    post.update(source_values or {})
+    pre.update(pre_source_values or {})
+    storage = resolve_initial_storage_state(system, pre)
+    x0 = initial_operating_point(circuit, system, storage, post)
+    y0 = x0 - final_operating_point(system, post, x0)
+    return system, y0, homogeneous_moments(system, y0, 1)
 
 
 def generalized_elmore_delay(
@@ -61,24 +84,8 @@ def generalized_elmore_delay(
     name = canonical_node(node)
     if name == GROUND:
         raise AnalysisError("ground does not move; no delay")
-    system = MnaSystem(circuit)
-    sources = {
-        s.name: (s.dc, s.dc0) for s in circuit.voltage_sources
-    }
-    sources.update({s.name: (s.dc, s.dc0) for s in circuit.current_sources})
-    post = {k: v[0] for k, v in sources.items()}
-    pre = {k: v[1] for k, v in sources.items()}
-    if source_values:
-        post.update(source_values)
-    if pre_source_values:
-        pre.update(pre_source_values)
-
-    storage = resolve_initial_storage_state(system, pre)
-    x0 = initial_operating_point(circuit, system, storage, post)
-    charges = system.group_charge(x0) if system.floating_groups else None
-    x_final = dc_operating_point(system, post, charges)
-    y0 = x0 - x_final
-    moments = homogeneous_moments(system, y0, 1)
+    system, y0, moments = _release_moments(circuit, source_values,
+                                           pre_source_values)
     row = system.index.node(name)
     swing = -float(y0[row])  # v(∞) − v(0)
     if swing == 0.0:
@@ -98,20 +105,8 @@ def settling_areas(
 
     One moment solve serves all outputs (the vectorised version of the
     delay above; useful for full-net delay reports)."""
-    system = MnaSystem(circuit)
-    post = {s.name: s.dc for s in circuit.voltage_sources}
-    post.update({s.name: s.dc for s in circuit.current_sources})
-    pre = {s.name: s.dc0 for s in circuit.voltage_sources}
-    pre.update({s.name: s.dc0 for s in circuit.current_sources})
-    if source_values:
-        post.update(source_values)
-    if pre_source_values:
-        pre.update(pre_source_values)
-    storage = resolve_initial_storage_state(system, pre)
-    x0 = initial_operating_point(circuit, system, storage, post)
-    charges = system.group_charge(x0) if system.floating_groups else None
-    x_final = dc_operating_point(system, post, charges)
-    moments = homogeneous_moments(system, x0 - x_final, 1)
+    system, _, moments = _release_moments(circuit, source_values,
+                                          pre_source_values)
     return {
         node: -float(moments.vectors[0][system.index.node(node)])
         for node in circuit.nodes

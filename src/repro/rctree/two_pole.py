@@ -24,7 +24,7 @@ import numpy as np
 from repro.circuit.netlist import Circuit
 from repro.analysis.mna import MnaSystem
 from repro.analysis.dcop import (
-    dc_operating_point,
+    final_operating_point,
     initial_operating_point,
     resolve_initial_storage_state,
 )
@@ -76,11 +76,7 @@ def two_pole_model(circuit: Circuit, node: str, v_step: float) -> TwoPoleModel:
 
     storage0 = resolve_initial_storage_state(system, source_values)
     x0 = initial_operating_point(circuit, system, storage0, stepped)
-    x_final = dc_operating_point(
-        system,
-        stepped,
-        system.group_charge(x0) if system.floating_groups else None,
-    )
+    x_final = final_operating_point(system, stepped, x0)
     y0 = x0 - x_final
     moments = homogeneous_moments(system, y0, 4)
     row = system.index.node(node)

@@ -27,8 +27,8 @@ This is exact for:
   except that a cap re-homed onto an anchor whose voltage is pinned by
   an ideal source (V/VCVS/CCVS terminal) is dropped: it is electrically
   inert for every node response there, and keeping it would put a
-  capacitor in parallel with the source and make the t = 0⁺ auxiliary
-  DC system singular.  (Driving-point admittance moments seen *by that
+  capacitor in parallel with the source and make the bordered t = 0⁺
+  system singular.  (Driving-point admittance moments seen *by that
   source* are therefore not preserved; node responses are.)
 * **the first moment (Elmore delay) at every retained node.**  An
   interior cap ``C_j`` contributes ``C_j · R_shared(j, n)`` to the
@@ -145,8 +145,8 @@ def reduce_circuit(
     insertion_order = {e.name: i for i, e in enumerate(circuit)}
     # Anchors whose voltage is pinned by an ideal source: a cap re-homed
     # there would be electrically inert for every node response (zero
-    # shared resistance with any observation path) yet make the t = 0⁺
-    # auxiliary DC system singular, so it is dropped instead.
+    # shared resistance with any observation path) yet make the bordered
+    # t = 0⁺ system singular, so it is dropped instead.
     pinned = {
         end
         for element in circuit

@@ -27,8 +27,9 @@ REPORT_SCHEMA = "repro.run-report/1"
 #: Phases the Markdown renderer orders first; anything else (custom span
 #: names, the root's own time as ``other``) follows alphabetically.
 PHASE_ORDER = (
-    "parse", "mna_assembly", "lu", "operating_points", "moment_recursion",
-    "response", "pade_escalation", "pade", "residues", "waveform", "other",
+    "parse", "mna_assembly", "lu", "operating_points", "t0_lu",
+    "moment_recursion", "response", "pade_escalation", "pade", "residues",
+    "waveform", "other",
 )
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import Circuit, MnaSystem
+from repro import Circuit, MnaSystem, Step
 from repro.analysis.dcop import (
     StorageState,
     dc_operating_point,
@@ -13,7 +13,8 @@ from repro.analysis.dcop import (
     resolve_initial_storage_state,
     storage_state_from_mna,
 )
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, SingularCircuitError
+from tests.strategies import L2_BOUND, awe_vs_transient_l2
 
 
 class TestDcOperatingPoint:
@@ -177,3 +178,73 @@ class TestFinalOperatingPoint:
         assert x_final[system.index.node("f")] == pytest.approx(1.0)
         np.testing.assert_allclose(system.group_charge(x_final), system.group_charge(x0),
                                    atol=1e-24)
+
+
+def inductor_controlled_circuit() -> Circuit:
+    """A CCVS and a CCCS read L1's current; L1 starts at 2 mA while the
+    capacitors start discharged, so nothing sits at equilibrium."""
+    ckt = Circuit("inductor-controlled sources")
+    ckt.add_voltage_source("Vin", "in", "0", dc=1.0)
+    ckt.add_resistor("R1", "in", "a", 50.0)
+    ckt.add_inductor("L1", "a", "b", 10e-9, initial_current=2e-3)
+    ckt.add_capacitor("C1", "b", "0", 1e-12)
+    ckt.add_resistor("Rb", "b", "0", 200.0)
+    ckt.add_ccvs("H1", "h", "0", "L1", 100.0)
+    ckt.add_resistor("Rh", "h", "c", 100.0)
+    ckt.add_capacitor("Ch", "c", "0", 1e-12)
+    ckt.add_cccs("F1", "g", "0", "L1", 0.5)
+    ckt.add_resistor("Rg", "g", "0", 1000.0)
+    ckt.add_resistor("Rgk", "g", "k", 1000.0)
+    ckt.add_capacitor("Ck", "k", "0", 1e-12)
+    return ckt
+
+
+class TestInductorControlledSources:
+    """At t = 0⁺ the inductor's pinned current drives the controlled
+    sources through their ordinary stamps."""
+
+    def test_initial_point_by_hand(self):
+        ckt = inductor_controlled_circuit()
+        system = MnaSystem(ckt)
+        state = resolve_initial_storage_state(system, {"Vin": 0.0})
+        assert state.inductor_currents == {"L1": 2e-3}
+        x0, rates = initial_operating_point(ckt, system, state, {"Vin": 1.0},
+                                            with_rates=True)
+
+        def v(node):
+            return x0[system.index.node(node)]
+
+        assert x0[system.index.current("L1")] == pytest.approx(2e-3)
+        assert v("a") == pytest.approx(1.0 - 50.0 * 2e-3)
+        assert v("h") == pytest.approx(100.0 * 2e-3)   # gain × i_L(0)
+        # 0.5 × i_L(0) leaves g, split between Rg and Rgk (k held at 0 V).
+        assert v("g") == pytest.approx(-0.5 * 2e-3 * 500.0)
+        assert x0[system.index.current("H1")] == pytest.approx(-2e-3)
+        for node in ("b", "c", "k"):
+            assert v(node) == pytest.approx(0.0, abs=1e-15)
+        assert rates.capacitor_voltage_rates["C1"] == pytest.approx(2e-3 / 1e-12)
+        assert rates.capacitor_voltage_rates["Ch"] == pytest.approx(2e-3 / 1e-12)
+        assert rates.inductor_current_rates["L1"] == pytest.approx(0.9 / 10e-9)
+
+    @pytest.mark.parametrize("node", ["b", "h", "g"])
+    def test_response_matches_transient(self, node):
+        error = awe_vs_transient_l2(inductor_controlled_circuit(),
+                                    {"Vin": Step(0.0, 1.0)}, node,
+                                    error_target=0.005)
+        assert error < L2_BOUND
+
+
+@pytest.mark.parametrize("currents", [(0.0, 0.0), (1e-3, 0.0)],
+                         ids=["balanced", "unbalanced"])
+def test_inductor_cutset_node_is_singular_at_t0(currents):
+    # Node m touches only L1 and L2: nothing fixes its voltage at t = 0⁺.
+    ckt = Circuit("series inductors")
+    ckt.add_voltage_source("V", "in", "0", dc=1.0)
+    ckt.add_resistor("R", "in", "a", 10.0)
+    ckt.add_inductor("L1", "a", "m", 1e-9, initial_current=currents[0])
+    ckt.add_inductor("L2", "m", "b", 1e-9, initial_current=currents[1])
+    ckt.add_capacitor("C", "b", "0", 1e-12, initial_voltage=0.0)
+    system = MnaSystem(ckt)
+    state = resolve_initial_storage_state(system, {"V": 0.0})
+    with pytest.raises(SingularCircuitError, match="t = 0⁺"):
+        initial_operating_point(ckt, system, state, {"V": 1.0})

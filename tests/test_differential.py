@@ -15,6 +15,7 @@ Randomized-but-seeded circuits, three differential oracles:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from repro import AweAnalyzer, AweJob, BatchEngine
@@ -74,6 +75,21 @@ class TestAweMatchesTransient:
             circuit, stimuli, str(nodes), error_target=0.005
         )
         assert error < L2_BOUND
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "Sec. 3.4 undershoot under superposition: escalation accepts order 1 "
+    "on an estimate of 0.00495 for both the main and the event@2e-10 "
+    "subproblems, but each estimate is relative to its own subproblem; "
+    "the two are mirror images and their difference, the waveform the "
+    "user sees, has a true L2 error of 0.0211 against the 0.02 bound "
+    "(order 2 gives 0.0005)"))
+def test_ramp_superposition_undershoot_tree_9_seed_613():
+    """The example test_ramp_superposition fails on whenever it draws it."""
+    circuit = random_rc_tree(9, seed=613)
+    stimuli = {"Vin": Ramp(0.0, 5.0, rise_time=2e-10)}
+    error = awe_vs_transient_l2(circuit, stimuli, "9", error_target=0.005)
+    assert error < L2_BOUND
 
 
 class TestBatchBitIdentical:

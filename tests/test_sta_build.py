@@ -291,6 +291,56 @@ class TestBuilder:
         assert res.worst_slack is not None and res.worst_slack > 0
 
 
+#: One input driving a four-sink RC daisy chain.  At the slow corner
+#: the Sec. 3.4 error integral of its sinks cancels to ~3e-22 with a
+#: ~7e-30j roundoff part; judged against the cancelled value rather than
+#: the summands, that once raised ArithmeticError out of the build.
+FOUR_SINK_CHAIN = {
+    "name": "four-sink-chain",
+    "inputs": [{"name": "i1", "net": "x1", "arrival": 1.5278e-11,
+                "slew": 2.8461e-11, "drive_resistance": 101.132}],
+    "outputs": [
+        {"name": "s1", "net": "x1", "required": 2e-10, "load": 3.5e-15},
+        {"name": "s2", "net": "x1", "required": 2e-10, "load": 3.5e-15},
+        {"name": "s3", "net": "x1", "required": 2e-10, "load": 3e-15},
+        {"name": "s7", "net": "x1", "required": 2e-10, "load": 3.5e-15},
+    ],
+    "instances": [],
+    "nets": [{"name": "x1", "segments": [
+        {"a": "root", "b": "s7", "resistance": 24.881, "capacitance": 9.908e-15},
+        {"a": "s7", "b": "s3", "resistance": 290.163, "capacitance": 9.375e-15},
+        {"a": "s3", "b": "s2", "resistance": 65.52, "capacitance": 7.702e-15},
+        {"a": "s2", "b": "s1", "resistance": 139.405, "capacitance": 8.144e-15},
+    ]}],
+}
+
+
+class TestFourSinkChain:
+    slow = Corner(name="slow", wire_r=1.25, wire_c=1.1, cell=1.15)
+
+    def test_awe_times_every_sink_in_chain_order(self):
+        run = run_sta(Design.from_dict(FOUR_SINK_CHAIN), k=4,
+                      corners=(self.slow,))
+        arrival = run.corner("slow").result.arrival
+        chain = [arrival[sink] for sink in ("i1", "s7", "s3", "s2", "s1")]
+        assert all(math.isfinite(a) for a in chain)
+        assert chain == sorted(chain)
+        assert run.worst_slack is not None
+
+    def test_awe_and_elmore_agree_loosely(self):
+        design = Design.from_dict(FOUR_SINK_CHAIN)
+
+        def net_delays(interconnect):
+            built = build_timing_graph(design, corner=self.slow,
+                                       interconnect=interconnect)
+            return {e.dst: e.delay for e in built.graph.edges()}
+
+        awe, elmore = net_delays("awe"), net_delays("elmore")
+        assert awe.keys() == elmore.keys() == {"s1", "s2", "s3", "s7"}
+        for sink, delay in awe.items():
+            assert elmore[sink] == pytest.approx(delay, rel=0.5), sink
+
+
 class TestCorner:
     def test_round_trip(self):
         corner = Corner(name="fast", wire_r=0.8, wire_c=0.9, cell=0.7)
