@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import scipy.sparse
 
 from repro.analysis.mna import MnaSystem
 from repro.circuit.elements import GROUND, canonical_node
@@ -78,24 +79,13 @@ def transfer_moments(
                 "the expansion point must lie in the right half plane "
                 "(s₀ ≥ 0) to stay clear of the circuit's own poles"
             )
-        import scipy.linalg
-
+        shifted = system.G + expansion_point * system.C
         if system.use_sparse:
-            import scipy.sparse
-            import scipy.sparse.linalg
+            shifted = scipy.sparse.csc_matrix(shifted)
+        factor = system._factor(shifted, "lu", "lu_factorizations", "G + s₀C")
 
-            solve = scipy.sparse.linalg.splu(
-                scipy.sparse.csc_matrix(
-                    system.G + expansion_point * system.C
-                )
-            ).solve
-        else:
-            shifted = scipy.linalg.lu_factor(
-                system.G + expansion_point * system.C
-            )
-
-            def solve(vector):
-                return scipy.linalg.lu_solve(shifted, vector)
+        def solve(vector):
+            return system._solve(factor, vector)
 
     moments = np.empty(count)
     vector = solve(rhs)

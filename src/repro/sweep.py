@@ -31,11 +31,13 @@ refactor.  It chooses per point among three tiers:
     retunes are the RHS analogue (moments are linear in the source
     vector) and use cached per-source response columns.
 ``exact``
-    The escape hatch: re-stamp the perturbed circuit (derived by
-    ``copy()`` + ``replace()`` from the already-parsed base — no
-    re-parse) and refactor.  Shares the *identical* code path with
-    :meth:`SweepEngine.direct_point`, so exact-mode results match a
-    from-scratch evaluation **bit for bit**.  Points land here when the
+    The escape hatch: re-stamp the perturbed circuit (one
+    :meth:`SweepEngine.variant` of the already-parsed base — no
+    re-parse) and refactor.  :meth:`SweepEngine.restamp` is the one
+    code path behind this tier, :meth:`SweepEngine.direct_point` and
+    the exact corners and Monte Carlo samples of :mod:`repro.timing`,
+    so exact-mode results match a from-scratch evaluation **bit for
+    bit**.  Points land here when the
     rank-1 update is invalid (a Sherman–Morrison denominator near zero
     — the perturbation drives the system singular) or when a tier's
     estimated error exceeds the plan's bound; such demotions set
@@ -77,7 +79,7 @@ from repro.circuit.elements import (
 )
 from repro.circuit.netlist import Circuit
 from repro.circuit.validation import validate_for_analysis
-from repro.core.sensitivity import delay_sensitivities
+from repro.core.sensitivity import DelaySensitivities, delay_sensitivities
 from repro.errors import AnalysisError
 from repro.trace import NULL_TRACER
 
@@ -278,13 +280,16 @@ class SweepEngine:
     All one-time work — validation, MNA assembly, the base LU
     factorization, the base solves, and the adjoint gradient — happens
     in the constructor (or lazily on the first point that needs it) and
-    is shared by every :meth:`evaluate` call.
+    is shared by every :meth:`evaluate` call.  It is also the engine
+    behind :mod:`repro.timing`'s corners and Monte Carlo, which read
+    :meth:`gradient` for their linear tier and evaluate whole change
+    sets with :meth:`restamp` for their exact one.
 
     Parameters
     ----------
     circuit:
         The base linear R/C/V/I circuit.  Never mutated: perturbed
-        variants are derived with ``copy()`` (safe even for frozen
+        variants are derived with :meth:`variant` (safe even for frozen
         circuits out of :class:`repro.reduce.ReductionMemo`).
     stimuli:
         Source stimuli; each source's *post-transition* level defines
@@ -324,15 +329,10 @@ class SweepEngine:
         self._u = np.array(
             [self.stimuli[name].final_value for name in self.source_order]
         )
-        # Base solves: x_inf = G⁻¹Bu (dc values), v1 = G⁻¹C·x_inf
-        # (m1 = −v1).  The factorization they trigger is the one every
+        # The factorization the base solves trigger is the one every
         # rank-1 point reuses.
-        self._x_inf = self.system.solve_augmented(
-            np.asarray(self.system.B @ self._u).ravel()
-        )
-        self._v1 = self.system.solve_augmented(
-            np.asarray(self.system.C @ self._x_inf).ravel()
-        )
+        self._x_inf, self._v1 = _moment_pair(
+            self.system, np.asarray(self.system.B @ self._u).ravel())
         self._z_cache: dict[str, np.ndarray] = {}
         self._source_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._gradient_cache: dict[str, object] = {}
@@ -341,17 +341,10 @@ class SweepEngine:
 
     # -- base quantities -------------------------------------------------
 
-    def _metrics_from(self, x_inf: np.ndarray, v1: np.ndarray, row: int):
-        dc = float(x_inf[row])
-        m1 = -float(v1[row])
-        if dc == 0.0:
-            raise AnalysisError("output node sees no steady-state swing")
-        return dc, m1, -m1 / dc
-
     def base_point(self, node: str | int) -> PointResult:
         """The unperturbed quantities at ``node``."""
         row = self._row(node)
-        dc, m1, elmore = self._metrics_from(self._x_inf, self._v1, row)
+        dc, m1, elmore = _metrics(self._x_inf, self._v1, row)
         return PointResult(
             element="", value=0.0, label="base", mode="base",
             dc=dc, m1=m1, elmore_delay=elmore, error_estimate=0.0,
@@ -380,14 +373,16 @@ class SweepEngine:
         cached = self._source_cache.get(name)
         if cached is None:
             column = self.system.b_column(self.system.index.source(name))
-            s = self.system.solve_augmented(column)
-            t = self.system.solve_augmented(np.asarray(self.system.C @ s).ravel())
-            cached = (s, t)
+            cached = _moment_pair(self.system, column)
             self._source_cache[name] = cached
         return cached
 
-    def _gradient(self, node: str):
-        """Cached adjoint delay gradient for the first-order tier."""
+    def gradient(self, node: str | int) -> DelaySensitivities:
+        """The adjoint Elmore-delay gradient at ``node`` with respect to
+        every R and C, cached per node: four solves on the base factors,
+        two of them transpose solves.  The first-order tier reads it, as do the linear corner
+        bounds and Monte Carlo samples of :mod:`repro.timing`."""
+        node = canonical_node(node)
         cached = self._gradient_cache.get(node)
         if cached is None:
             cached = delay_sensitivities(
@@ -409,8 +404,8 @@ class SweepEngine:
         estimates the dropped second-order term.  Returns ``None`` when
         the estimate exceeds the plan's bound (caller escalates).
         """
-        gradient = self._gradient(node)
-        base_dc, base_m1, base_elmore = self._metrics_from(
+        gradient = self.gradient(node)
+        base_dc, base_m1, base_elmore = _metrics(
             self._x_inf, self._v1, row
         )
         if isinstance(element, Capacitor):
@@ -472,13 +467,13 @@ class SweepEngine:
             s, t = self._source_columns(element.name)
             x_inf = self._x_inf + delta_u * s
             v1 = self._v1 + delta_u * t
-            return (*self._metrics_from(x_inf, v1, row), 0.0)
+            return (*_metrics(x_inf, v1, row), 0.0)
         if isinstance(element, Capacitor):
             delta_c = new_value - element.capacitance
             z = self._z(element)
             # ΔC = δ·wwᵀ ⇒ v1' = G⁻¹(C + ΔC)x_inf = v1 + δ(wᵀx_inf)z.
             v1 = self._v1 + delta_c * _across(system, element, self._x_inf) * z
-            return (*self._metrics_from(self._x_inf, v1, row), 0.0)
+            return (*_metrics(self._x_inf, v1, row), 0.0)
         # Resistor: ΔG = Δg·wwᵀ.
         delta_g = 1.0 / new_value - element.conductance
         z = self._z(element)
@@ -496,38 +491,54 @@ class SweepEngine:
         # factors, then the same rank-1 correction.
         t = system.solve_augmented(np.asarray(system.C @ x_inf).ravel())
         v1 = perturbed_solve(t)
-        return (*self._metrics_from(x_inf, v1, row), 0.0)
+        return (*_metrics(x_inf, v1, row), 0.0)
 
-    def _perturbed_circuit(self, element, new_value: float) -> Circuit:
-        variant = self.circuit.copy()
-        if isinstance(element, Resistor):
-            variant.replace(Resistor(element.name, element.positive,
-                                     element.negative, new_value))
-        elif isinstance(element, Capacitor):
-            variant.replace(Capacitor(element.name, element.positive,
-                                      element.negative, new_value,
-                                      element.initial_voltage))
-        else:
-            raise AnalysisError(
-                f"cannot re-stamp element {element.name!r} of type "
-                f"{type(element).__name__}"
-            )
+    def variant(self, values: dict[str, float],
+                title: str | None = None) -> Circuit:
+        """A copy of the base circuit with each resistor or capacitor
+        named in ``values`` set to its new value (the base itself is
+        never mutated).  ``title`` defaults to the base circuit's."""
+        variant = self.circuit.copy(title)
+        for name, value in values.items():
+            element = self.circuit[name] if name in self.circuit else None
+            if isinstance(element, Resistor):
+                element = dataclasses.replace(element, resistance=value)
+            elif isinstance(element, Capacitor):
+                element = dataclasses.replace(element, capacitance=value)
+            else:
+                raise AnalysisError(
+                    f"cannot re-stamp {name!r}: not a resistor or capacitor "
+                    "of the base circuit"
+                )
+            variant.replace(element)
         return variant
 
-    def _exact(self, point: SweepPoint, node: str, element, new_value: float):
-        """Exact tier: re-stamp + refactor the perturbed variant through
-        the *same* code path as :meth:`direct_point` — bit-for-bit equal
-        to a from-scratch evaluation by construction."""
+    def restamp(self, values: dict[str, float],
+                node: str | int) -> tuple[float, float, float]:
+        """Exact ``(dc, m1, elmore_delay)`` at ``node`` for a whole change
+        set: ``values`` maps resistor and capacitor names to new values
+        and source names to new post-transition levels.  The element
+        changes go into one :meth:`variant`, stamped and factored afresh;
+        the source levels only change ``u``.
+
+        The exact tier, :meth:`direct_point` and the exact corners and
+        Monte Carlo samples of :mod:`repro.timing` all evaluate here, so
+        they agree bit for bit.  Each call is one LU, counted in
+        :attr:`extra_factorizations`.
+        """
+        row = self._row(node)
+        u = self._u.copy()
+        elements = {}
+        for name, value in values.items():
+            if name in self.stimuli:
+                u[self.system.index.source(name)] = value
+            else:
+                elements[name] = value
+        circuit = self.variant(elements) if elements else self.circuit
+        system = MnaSystem(circuit, sparse=self.system.use_sparse)
         self.extra_factorizations += 1
-        if isinstance(element, (VoltageSource, CurrentSource)):
-            values = dict(zip(self.source_order, self._u))
-            values[element.name] = new_value
-            return _system_metrics(self.circuit, self._row(node), values,
-                                   sparse=self.system.use_sparse)
-        variant = self._perturbed_circuit(element, new_value)
-        return _system_metrics(variant, self._row(node),
-                               dict(zip(self.source_order, self._u)),
-                               sparse=self.system.use_sparse)
+        x_inf, v1 = _moment_pair(system, np.asarray(system.B @ u).ravel())
+        return _metrics(x_inf, v1, row)
 
     # -- evaluation ------------------------------------------------------
 
@@ -536,17 +547,7 @@ class SweepEngine:
         factorization, same metric arithmetic.  Exact-mode sweep results
         equal this bit for bit; rank-1 results to roundoff."""
         element, new_value = self._resolve(point)
-        row = self._row(node)
-        if isinstance(element, (VoltageSource, CurrentSource)):
-            values = dict(zip(self.source_order, self._u))
-            values[element.name] = new_value
-            dc, m1, elmore = _system_metrics(
-                self.circuit, row, values, sparse=self.system.use_sparse)
-        else:
-            variant = self._perturbed_circuit(element, new_value)
-            dc, m1, elmore = _system_metrics(
-                variant, row, dict(zip(self.source_order, self._u)),
-                sparse=self.system.use_sparse)
+        dc, m1, elmore = self.restamp({element.name: new_value}, node)
         return PointResult(
             element=element.name, value=new_value,
             label=point.label, mode="direct",
@@ -625,7 +626,7 @@ class SweepEngine:
                     outcome, chosen = candidate, "first_order"
                 elif mode == "first_order":
                     demote("exact", "first-order update invalid (singular)")
-                    outcome = (*self._exact(point, node, element, new_value), None)
+                    outcome = (*self.restamp({element.name: new_value}, node), None)
                     chosen = "exact"
                 elif candidate is not None:
                     demote("rank1",
@@ -644,7 +645,7 @@ class SweepEngine:
                                 "(perturbation drives the system singular)")
 
         if outcome is None:
-            outcome = (*self._exact(point, node, element, new_value), None)
+            outcome = (*self.restamp({element.name: new_value}, node), None)
             chosen = "exact"
 
         counts[chosen] += 1
@@ -662,18 +663,15 @@ class SweepEngine:
         )
 
 
-def _system_metrics(circuit: Circuit, row: int, source_values: dict,
-                    sparse: bool | None = None):
-    """Stamp, factor, and solve one circuit for (dc, m1, elmore) at ``row``.
+def _moment_pair(system: MnaSystem, rhs: np.ndarray):
+    """``x = G⁻¹·rhs`` and ``v = G⁻¹C·x`` on ``system``'s factors.  With
+    ``rhs = Bu`` these are the step's final values and ``−m1``."""
+    x = system.solve_augmented(rhs)
+    return x, system.solve_augmented(np.asarray(system.C @ x).ravel())
 
-    This single helper serves both the sweep's exact tier and the
-    from-scratch :meth:`SweepEngine.direct_point` reference — identical
-    arithmetic is what makes the two comparable bit for bit.
-    """
-    system = MnaSystem(circuit, sparse=sparse)
-    u = system.source_vector({name: float(v) for name, v in source_values.items()})
-    x_inf = system.solve_augmented(np.asarray(system.B @ u).ravel())
-    v1 = system.solve_augmented(np.asarray(system.C @ x_inf).ravel())
+
+def _metrics(x_inf: np.ndarray, v1: np.ndarray, row: int):
+    """``(dc, m1, elmore_delay)`` at ``row`` from a :func:`_moment_pair`."""
     dc = float(x_inf[row])
     m1 = -float(v1[row])
     if dc == 0.0:

@@ -4,12 +4,13 @@ Complements :mod:`repro.timing.corners` with distributional information:
 element values are sampled uniformly within their tolerances and the
 first-moment delay recomputed.  Two estimators:
 
-* ``method="exact"`` — rebuild the circuit per sample and recompute the
-  delay (eq. 3 machinery); cost one LU per sample.
-* ``method="linear"`` — one adjoint gradient, then every sample is a dot
-  product: ``T ≈ T₀ + Σ (x·∂T/∂x)·δᵢ``.  Thousands of samples for free;
-  accurate while tolerances stay in the first-order regime (the tests
-  quantify the agreement).
+* ``method="exact"`` — re-stamp each sample's element values on the
+  :class:`~repro.sweep.SweepEngine` and recompute the from-rest first
+  moment; cost one LU per sample.
+* ``method="linear"`` — the engine's adjoint gradient, then every sample
+  is a dot product: ``T ≈ T₀ + Σ (x·∂T/∂x)·δᵢ``.  Thousands of samples for
+  free; accurate while tolerances stay in the first-order regime (the
+  tests quantify the agreement).
 
 The sampled statistics also validate the corner analysis: every sample
 must fall inside the constructed fast/slow corner delays.
@@ -21,11 +22,9 @@ import dataclasses
 
 import numpy as np
 
-from repro.circuit.elements import Capacitor, Resistor
 from repro.circuit.netlist import Circuit
-from repro.core.sensitivity import delay_sensitivities
 from repro.errors import AnalysisError
-from repro.rctree.generalized_elmore import generalized_elmore_delay
+from repro.timing.corners import variational_engine
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,15 +65,16 @@ def delay_distribution(
     source_values: dict[str, float] | None = None,
     method: str = "linear",
 ) -> MonteCarloReport:
-    """Sample the first-moment delay under uniform element variation."""
+    """Sample the first-moment delay under uniform element variation.
+
+    Tolerances and ``source_values`` mean what they mean for
+    :func:`~repro.timing.corners.delay_corners`.
+    """
     if method not in ("linear", "exact"):
         raise AnalysisError(f"unknown Monte Carlo method {method!r}")
     if samples < 1:
         raise AnalysisError("need at least one sample")
-    sens = delay_sensitivities(circuit, node, source_values)
-    unknown = set(tolerances) - set(sens.element_values)
-    if unknown:
-        raise AnalysisError(f"tolerances name unknown R/C elements: {sorted(unknown)}")
+    engine, sens = variational_engine(circuit, node, tolerances, source_values)
 
     rng = np.random.default_rng(seed)
     names = sorted(tolerances)
@@ -85,18 +85,10 @@ def delay_distribution(
         scaled = sens.scaled_gradient()
         weights = np.array([scaled[n] for n in names])
         values = sens.elmore_delay + deltas @ weights
-        return MonteCarloReport(sens.node, sens.elmore_delay, values, method)
-
-    values = np.empty(samples)
-    for i in range(samples):
-        sample_circuit = circuit.copy()
-        for name, delta in zip(names, deltas[i]):
-            element = sample_circuit[name]
-            if isinstance(element, Resistor):
-                sample_circuit.replace(dataclasses.replace(
-                    element, resistance=element.resistance * (1.0 + delta)))
-            elif isinstance(element, Capacitor):
-                sample_circuit.replace(dataclasses.replace(
-                    element, capacitance=element.capacitance * (1.0 + delta)))
-        values[i] = generalized_elmore_delay(sample_circuit, sens.node, source_values)
+    else:
+        base = np.array([sens.element_values[n] for n in names])
+        values = np.array([
+            engine.restamp(dict(zip(names, base * (1.0 + delta))), sens.node)[2]
+            for delta in deltas
+        ])
     return MonteCarloReport(sens.node, sens.elmore_delay, values, method)

@@ -4,17 +4,27 @@ An analyzer factors two matrices: the charge-augmented ``G`` for the DC
 and moment solves (``lu_factorizations``) and the bordered t = 0⁺ system
 for ``x(0⁺)`` (``t0_factorizations``).  Both are built once per
 :class:`~repro.analysis.mna.MnaSystem`, so the count does not grow with
-the number of stimulus breakpoints.
+the number of stimulus breakpoints.  A shifted transfer expansion
+factors ``G + s₀C`` and counts it in ``lu_factorizations`` too; corners
+and Monte Carlo pay one LU for their engine plus one per exact
+evaluation.
 """
 
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from repro import AweAnalyzer, AweJob, BatchEngine
+from repro import AweAnalyzer, AweJob, BatchEngine, MnaSystem
 from repro.analysis.sources import PWL, Step
-from repro.papercircuits import fig25_rlc_ladder, random_rc_tree, rc_ladder
+from repro.core.transfer import transfer_moments
+from repro.papercircuits import (
+    fig4_rc_tree,
+    fig25_rlc_ladder,
+    random_rc_tree,
+    rc_ladder,
+)
 from repro.sweep import SweepEngine, SweepPlan, SweepPoint
+from repro.timing import delay_corners, delay_distribution, uniform_tolerances
 from repro.trace import Tracer
 from tests.test_sweep import count_factorizations
 
@@ -110,3 +120,47 @@ def test_t0_factorization_has_its_own_span():
     (operating_points,) = [s for s in spans(record)
                            if s["name"] == "operating_points"]
     assert t0 in operating_points["children"]
+
+
+@pytest.mark.parametrize("circuit, node, sparse", [
+    (fig4_rc_tree(), "4", False),
+    (rc_ladder(300), "300", True),
+], ids=["dense-fig4", "sparse-ladder"])
+def test_shifted_transfer_expansion_is_one_counted_lu(circuit, node, sparse,
+                                                      monkeypatch):
+    calls = count_factorizations(monkeypatch)
+    system = MnaSystem(circuit)
+    moments = transfer_moments(system, "Vin", node, 4, expansion_point=1e6)
+    assert system.use_sparse is sparse
+    assert all(moments != 0.0)
+    assert system.stats.as_dict()["lu_factorizations"] == calls["lu"] == 1
+
+
+def count_transpose_solves(monkeypatch) -> dict:
+    """Count dense adjoint (``trans != 0``) substitutions from here on."""
+    calls = {"transpose": 0}
+
+    def counted(factor, rhs, trans=0, _solve=scipy.linalg.lu_solve, **kwargs):
+        calls["transpose"] += trans != 0
+        return _solve(factor, rhs, trans=trans, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_solve", counted)
+    return calls
+
+
+def test_corners_factor_once_per_exact_corner(monkeypatch):
+    calls = count_factorizations(monkeypatch)
+    adjoints = count_transpose_solves(monkeypatch)
+    circuit = fig4_rc_tree()
+    delay_corners(circuit, "4", uniform_tolerances(circuit, 0.1), {"Vin": 5.0})
+    assert calls["lu"] == 3
+    assert adjoints["transpose"] == 2  # one gradient, not one per corner
+
+
+@pytest.mark.parametrize("method, lus", [("linear", 1), ("exact", 1 + 25)])
+def test_monte_carlo_factors_once_per_exact_sample(method, lus, monkeypatch):
+    calls = count_factorizations(monkeypatch)
+    circuit = fig4_rc_tree()
+    delay_distribution(circuit, "4", uniform_tolerances(circuit, 0.1),
+                       samples=25, source_values={"Vin": 5.0}, method=method)
+    assert calls["lu"] == lus

@@ -63,3 +63,12 @@ class TestSampling:
         with pytest.raises(AnalysisError):
             delay_distribution(fig4_rc_tree(), "4", {"R1": 0.1}, samples=0,
                                source_values={"Vin": 5.0})
+
+    @pytest.mark.parametrize("method", ["linear", "exact"])
+    def test_tolerance_of_one_or_more_rejected(self, method):
+        # A tolerance >= 1 would let a sample drive R1 or C1 negative:
+        # the linear samples go below zero, the exact re-stamp fails.
+        with pytest.raises(AnalysisError, match=r"\[0, 1\)"):
+            delay_distribution(fig4_rc_tree(), "4", {"R1": 1.5, "C1": 2.0},
+                               samples=50, source_values={"Vin": 5.0},
+                               method=method)

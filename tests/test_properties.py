@@ -132,13 +132,17 @@ class TestEnergyProperties:
     @given(pole_residue_sets(), pole_residue_sets())
     @settings(max_examples=40, deadline=None)
     def test_cauchy_bound_dominates_exact(self, set_a, set_b):
+        # The bound compares a model against one of no higher order.
+        # Swapping, not filtering, keeps the health check's filter budget
+        # for pole_residue_sets' own separation filter.
+        if len(set_a[0]) < len(set_b[0]):
+            set_a, set_b = set_b, set_a
         model_a = PoleResidueModel(
             tuple((complex(p), 1, complex(k)) for p, k in zip(*set_a))
         )
         model_b = PoleResidueModel(
             tuple((complex(p), 1, complex(k)) for p, k in zip(*set_b))
         )
-        assume(len(model_a.terms) >= len(model_b.terms))
         exact = exact_l2_distance(model_a, model_b)
         bound = cauchy_bound_distance(model_a, model_b)
         # Absolute slack: for near-identical models both values are pure

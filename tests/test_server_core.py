@@ -1,10 +1,11 @@
 """The server core the daemon and the gateway share (`repro.service.server`).
 
-Every row of `ENDPOINTS` must mean the same thing on both surfaces: a
+Every row of `ENDPOINTS` must mean the same thing on every surface: a
 gateway attached to a daemon answers each request with the daemon's
 bytes and each malformed request with the daemon's status and JSON
-error, down to the HTTP framing.  The counters must account for every
-request exactly once, for every endpoint.
+error, down to the HTTP framing, and the daemon's answers are the ones
+the in-process API gives.  The counters must account for every request
+exactly once, for every endpoint.
 """
 
 import http.client
@@ -14,10 +15,13 @@ import time
 
 import pytest
 
+from repro import AweJob, BatchEngine, SweepEngine, SweepPlan, Tracer, parse_netlist
 from repro.gateway import GatewayServer
+from repro.report import build_report, build_sta_report, build_sweep_report
 from repro.service import ServiceServer
 from repro.service import server as service_server
 from repro.service.server import ENDPOINTS, MAX_BODY_BYTES, Health
+from repro.sta import Design, run_sta
 
 DECK = """\
 core deck
@@ -117,6 +121,38 @@ def post(address, kind, payload):
 
 def accounted(metrics) -> int:
     return sum(metrics.get(name, 0) for name in OUTCOMES)
+
+
+def in_process(kind: str) -> dict:
+    """The document a user builds for ``GOOD[kind]`` through the public
+    API, traced as the surfaces trace every request."""
+    request = GOOD[kind]
+    tracer = Tracer(kind)
+    if kind == "sta":
+        run = run_sta(Design.from_dict(request["design"]), k=request["k"],
+                      tracer=tracer)
+        return build_sta_report(run, trace=tracer.to_record())
+    deck = parse_netlist(request["deck"])
+    if kind == "analyze":
+        engine = BatchEngine()
+        job = AweJob(deck.circuit, tuple(request["nodes"]),
+                     stimuli=deck.stimuli, label=deck.title)
+        return build_report(engine.run([job], trace=True),
+                            engine_stats=engine.stats())
+    engine = SweepEngine(deck.circuit, deck.stimuli, tracer=tracer)
+    return build_sweep_report(engine.evaluate(SweepPlan.from_payload(request)),
+                              trace=tracer.to_record())
+
+
+def answers(document):
+    """``document`` without its timing fields: ``phase_seconds`` and
+    every ``*_s`` key (event times, wall and solver times)."""
+    if isinstance(document, dict):
+        return {key: answers(value) for key, value in document.items()
+                if key != "phase_seconds" and not key.endswith("_s")}
+    if isinstance(document, list):
+        return [answers(value) for value in document]
+    return document
 
 
 class TestFraming:
@@ -223,8 +259,8 @@ class TestCounters:
 
 
 class TestSurfaceParity:
-    """The first step of the three-surface check: the daemon and a
-    gateway attached to it give the same answer to the same request."""
+    """The three surfaces give the same answer to the same request: the
+    in-process API, the daemon, and a gateway attached to it."""
 
     @pytest.mark.parametrize("kind", sorted(ENDPOINTS))
     def test_200_bodies_are_byte_identical(self, surfaces, kind):
@@ -234,6 +270,13 @@ class TestSurfaceParity:
         assert direct[0] == routed[0] == 200
         assert routed[2] == direct[2]
         assert routed[1]["X-Repro-Key"] == direct[1]["X-Repro-Key"]
+
+    @pytest.mark.parametrize("kind", sorted(ENDPOINTS))
+    def test_200_bodies_answer_as_the_in_process_api(self, surfaces, kind):
+        daemon, _ = surfaces
+        status, _, body = post(daemon.address, kind, GOOD[kind])
+        assert status == 200
+        assert answers(json.loads(body)) == answers(in_process(kind))
 
     @pytest.mark.parametrize("kind", sorted(ENDPOINTS))
     @pytest.mark.parametrize("case", [

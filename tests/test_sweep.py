@@ -173,6 +173,32 @@ class TestTierAccuracy:
         assert got.mode == "rank1"  # auto policy skipped the gradient tier
 
 
+class TestChangeSets:
+    """`restamp` evaluates several element and source changes at once,
+    exactly as a fresh engine on the changed circuit would."""
+
+    def test_restamp_matches_a_fresh_engine_on_the_variant(self):
+        circuit = tree()
+        engine = SweepEngine(circuit, STIM)
+        changes = {"R1": 2.0 * circuit["R1"].resistance,
+                   "C3": 0.5 * circuit["C3"].capacitance}
+        variant = engine.variant(changes, title="changed")
+        assert variant.title == "changed"
+        assert variant["R1"].resistance == changes["R1"]
+        assert circuit["R1"].resistance != changes["R1"]  # base untouched
+        fresh = SweepEngine(variant, {"Vin": Step(0.0, 0.8)}).base_point("5")
+        got = engine.restamp({**changes, "Vin": 0.8}, "5")
+        assert got == (fresh.dc, fresh.m1, fresh.elmore_delay)  # bitwise
+        assert engine.extra_factorizations == 1
+
+    def test_restamp_refuses_what_it_cannot_restamp(self):
+        engine = SweepEngine(tree(), STIM)
+        with pytest.raises(AnalysisError, match="cannot re-stamp"):
+            engine.restamp({"R999": 1.0}, "5")
+        with pytest.raises(AnalysisError, match="cannot re-stamp"):
+            engine.variant({"Vin": 1.0})
+
+
 def count_factorizations(monkeypatch) -> dict:
     """Count every dense or sparse LU factorization from here on."""
     calls = {"lu": 0}
