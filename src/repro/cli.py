@@ -272,9 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persist cached reports here (restart-warm cache)")
     serve.add_argument("--timeout", type=float,
                        help="default per-request wall-clock budget in seconds")
-    serve.add_argument("--reduce", action="store_true",
-                       help="collapse series RC chains by default for "
-                            "requests that don't say (docs/scaling.md)")
     serve.add_argument("--engine-workers", type=int, default=1,
                        help="analysis processes per worker thread's engine; "
                             ">1 enables the self-healing process pool "
@@ -341,9 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--degraded-threshold", type=int, default=3,
                          help="consecutive forward failures before a shard "
                               "is shed (default 3)")
-    gateway.add_argument("--reduce", action="store_true",
-                         help="collapse series RC chains by default (the "
-                              "shards inherit the setting)")
     gateway.add_argument("--shard-engine-workers", type=int, default=1,
                          help="process-pool width inside each shard "
                               "(default 1)")
@@ -436,6 +430,34 @@ def _load(deck_path: str):
     return deck
 
 
+#: Columns of the per-response timing tables of ``report``, ``batch``
+#: and ``analyze``.
+_TABLE_HEADER = (f"{'node':<8} {'order':>5} {'estimate':>9} {'final':>9} "
+                 f"{'50% delay':>11}")
+
+
+def _table_header(threshold: float | None) -> str:
+    return _TABLE_HEADER + ("" if threshold is None else f" {'thr delay':>11}")
+
+
+def _response_row(record: dict, threshold: float | None) -> str:
+    """One run-report response record as a table row; whatever the
+    record leaves null (see :func:`repro.report.response_record`) prints
+    as n/a."""
+    def seconds(value):
+        return "n/a" if value is None else fmt(value, "s")
+
+    estimate, final = record["error_estimate"], record["final_value"]
+    estimate_text = ("n/a" if estimate is None or not np.isfinite(estimate)
+                     else f"{estimate:.3%}")
+    final_text = "n/a" if final is None else f"{final:.4f}V"
+    line = (f"{record['node']:<8} {record['order']:>5} {estimate_text:>9} "
+            f"{final_text:>9} {seconds(record['delay_50_s']):>11}")
+    if threshold is not None:
+        line += f" {seconds(record['delay_threshold_s']):>11}"
+    return line
+
+
 def _write_text(target: str, text: str) -> None:
     """Write ``text`` to a path, or to stdout when the path is ``-``."""
     if target == "-":
@@ -451,7 +473,9 @@ def cmd_report(args) -> int:
     import time
 
     from repro.engine import AweJob, BatchEngine
-    from repro.report import build_report, render_markdown, validate_report
+    from repro.report import (
+        build_report, render_markdown, response_record, validate_report,
+    )
 
     # Document mode emits machine/human reports; the classic text table is
     # reserved for plain invocations so `--json -` stays valid JSON.
@@ -501,32 +525,16 @@ def cmd_report(args) -> int:
                   file=sys.stderr)
         return 1 if failures else 0
 
-    header = f"  {'node':<8} {'order':>5} {'estimate':>9} {'final':>9} {'50% delay':>11}"
-    if args.threshold is not None:
-        header += f" {'thr delay':>11}"
     for result in results:
         if not result.ok:
             continue
         title = ("AWE timing report:" if len(results) == 1
                  else f"AWE timing report: {result.label}")
         print(f"\n{title}")
-        print(header)
+        print(f"  {_table_header(args.threshold)}")
         for node, response in result.responses.items():
-            estimate = response.error_estimate
-            estimate_text = (f"{estimate:.3%}"
-                             if estimate is not None and np.isfinite(estimate)
-                             else "n/a")
-            final = response.waveform.final_value()
-            initial = float(response.waveform.evaluate(0.0))
-            if abs(final - initial) < 1e-6 * max(abs(final), abs(initial), 1.0):
-                delay_text = "n/a"  # no net transition (e.g. a victim node)
-            else:
-                delay_text = fmt(response.delay_50(), "s")
-            line = (f"  {node:<8} {response.order:>5} {estimate_text:>9} "
-                    f"{final:>8.4f}V {delay_text:>11}")
-            if args.threshold is not None:
-                line += f" {fmt(response.delay(args.threshold), 's'):>11}"
-            print(line)
+            record = response_record(node, response, args.threshold)
+            print(f"  {_response_row(record, args.threshold)}")
     for result in failures:
         print(f"error: {result.label}: [{result.error_type}] {result.error}",
               file=sys.stderr)
@@ -602,6 +610,7 @@ def cmd_batch(args) -> int:
 
     from repro.engine import AweJob, BatchEngine
     from repro.errors import ReproError as _ReproError
+    from repro.report import response_record
 
     jobs = []
     parse_failures: list[tuple[str, str]] = []
@@ -628,7 +637,7 @@ def cmd_batch(args) -> int:
     results = engine.run(jobs)
 
     print(f"batch: {len(jobs)} job(s), {args.workers} worker(s)")
-    print(f"  {'deck':<24} {'node':<8} {'order':>5} {'final':>9} {'50% delay':>11}")
+    print(f"  {'deck':<24} {_table_header(None)}")
     failed = len(parse_failures)
     for result in results:
         if not result.ok:
@@ -636,14 +645,8 @@ def cmd_batch(args) -> int:
             print(f"  {result.label:<24} FAILED [{result.error_type}] {result.error}")
             continue
         for node, response in result.responses.items():
-            final = response.waveform.final_value()
-            initial = float(response.waveform.evaluate(0.0))
-            if abs(final - initial) < 1e-6 * max(abs(final), abs(initial), 1.0):
-                delay_text = "n/a"
-            else:
-                delay_text = fmt(response.delay_50(), "s")
-            print(f"  {result.label:<24} {node:<8} {response.order:>5} "
-                  f"{final:>8.4f}V {delay_text:>11}")
+            row = _response_row(response_record(node, response), None)
+            print(f"  {result.label:<24} {row}")
     for path, message in parse_failures:
         print(f"  {path:<24} FAILED [parse] {message}")
 
@@ -832,7 +835,6 @@ def cmd_serve(args) -> int:
         cache_bytes=args.cache_bytes,
         cache_dir=args.cache_dir,
         timeout=args.timeout,
-        default_reduce=args.reduce,
         engine_workers=args.engine_workers,
         degraded_threshold=args.degraded_threshold,
         fault_spec=args.faults,
@@ -866,26 +868,10 @@ def cmd_analyze(args) -> int:
         _write_text(args.json, outcome.body.decode("utf-8"))
     else:
         for job in outcome.document["jobs"]:
-            title = f"AWE timing report: {job['label']}"
-            print(f"\n{title}")
-            header = f"  {'node':<8} {'order':>5} {'estimate':>9} {'final':>9} {'50% delay':>11}"
-            if args.threshold is not None:
-                header += f" {'thr delay':>11}"
-            print(header)
+            print(f"\nAWE timing report: {job['label']}")
+            print(f"  {_table_header(args.threshold)}")
             for response in job["responses"]:
-                estimate = response["error_estimate"]
-                estimate_text = (f"{estimate:.3%}" if estimate is not None
-                                 else "n/a")
-                final = response["final_value"]
-                final_text = f"{final:>8.4f}V" if final is not None else "      n/a"
-                delay = response.get("delay_50_s")
-                delay_text = fmt(delay, "s") if delay is not None else "n/a"
-                line = (f"  {response['node']:<8} {response['order']:>5} "
-                        f"{estimate_text:>9} {final_text} {delay_text:>11}")
-                if args.threshold is not None:
-                    thr = response.get("delay_threshold_s")
-                    line += f" {fmt(thr, 's') if thr is not None else 'n/a':>11}"
-                print(line)
+                print(f"  {_response_row(response, args.threshold)}")
     failures = [job for job in outcome.document["jobs"] if not job["ok"]]
     for job in failures:
         print(f"error: {job['label']}: [{job['error_type']}] {job['error']}",
@@ -915,7 +901,6 @@ def cmd_gateway(args) -> int:
         cache_dir=args.cache_dir,
         timeout=args.timeout,
         degraded_threshold=args.degraded_threshold,
-        default_reduce=args.reduce,
         shard_engine_workers=args.shard_engine_workers,
         shard_queue_size=args.shard_queue_size,
         fault_spec=args.faults,

@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.analysis.dcop import (
     StorageState,
-    dc_operating_point,
     initial_operating_point,
     resolve_initial_storage_state,
 )

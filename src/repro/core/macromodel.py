@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.analysis.mna import MnaSystem
 from repro.circuit.netlist import Circuit
-from repro.core.pade import characteristic_polynomial, choose_scale, poles_from_characteristic
+from repro.core.pade import taylor_fit
 from repro.errors import ApproximationError
 from repro.timing.pi_model import driving_point_moments
 
@@ -117,16 +117,7 @@ def synthesize_rc_load(
 
     # W(s) = (Y − y₀)/s has plain pole/residue form with the shifted
     # moment sequence w_k = y_{k+1}.
-    w = np.asarray(moments[1:], dtype=float)
-    gamma = choose_scale(w)
-    scaled = w[: 2 * order] * gamma ** np.arange(2 * order)
-    a, _ = characteristic_polynomial(scaled, order)
-    poles = poles_from_characteristic(a) * gamma
-
-    A = np.empty((order, order), dtype=complex)
-    for k in range(order):
-        A[k, :] = -(poles ** -(k + 1))
-    residues = np.linalg.solve(A, w[:order].astype(complex))
+    poles, residues = taylor_fit(moments[1:], order)
 
     branches = []
     for pole, residue in zip(poles, residues):

@@ -38,6 +38,57 @@ from repro.errors import AnalysisError
 _CHARGE_TOL = 1e-9
 
 
+def moment_chain(system: MnaSystem, first: np.ndarray, count: int,
+                 solve=None) -> list[np.ndarray]:
+    """The moment recursion itself (paper eqs. 33–34), ``count`` vectors.
+
+    ``v₀ = solve(first)`` and ``v_{k+1} = solve(−C·v_k)``: one
+    forward/back substitution per moment against one factorisation.
+    ``solve`` defaults to :meth:`~repro.analysis.mna.MnaSystem.solve_augmented`
+    (the LU of ``G`` with the charge rows); ``first`` may stack several
+    chains as columns, which then advance with one multi-RHS solve per
+    order.  Every vector counts one ``moment_solves`` and one
+    ``moments_computed`` per column.
+    """
+    solve = system.solve_augmented if solve is None else solve
+    vectors: list[np.ndarray] = []
+    for _ in range(count):
+        vector = solve(-(system.C @ vectors[-1]) if vectors else first)
+        vectors.append(vector)
+        system.stats.add("moment_solves", 1)
+        system.stats.add("moments_computed",
+                         vector.shape[1] if vector.ndim == 2 else 1)
+    return vectors
+
+
+def _continue(system: MnaSystem, chain, extra: int) -> tuple[np.ndarray, ...]:
+    """``extra`` further vectors of a :class:`MomentSet` or
+    :class:`MomentBatch` chain; its first solve is ``C·initial``."""
+    if extra <= 0:
+        return ()
+    if chain.vectors:
+        first = -(system.C @ chain.vectors[-1])
+    else:
+        first = system.C @ chain.initial
+    return tuple(moment_chain(system, first, extra))
+
+
+def _reject_trapped_charge(system: MnaSystem, states: np.ndarray) -> None:
+    """Raise unless every homogeneous state (a column of ``states``)
+    carries no trapped floating-group charge, to one part in 10⁹ of its
+    scale: the particular solution must have absorbed it."""
+    if not system.floating_groups:
+        return
+    for y0 in states.T:
+        charges = system.group_charge(y0)
+        scale = float(np.abs(system.C @ y0).max()) + 1e-300
+        if np.any(np.abs(charges) > _CHARGE_TOL * scale):
+            raise AnalysisError(
+                "homogeneous initial state carries trapped charge; the "
+                "particular solution must absorb floating-group charge"
+            )
+
+
 @dataclasses.dataclass(frozen=True)
 class MomentSet:
     """The initial state and moment vectors of one homogeneous problem.
@@ -63,17 +114,7 @@ class MomentSet:
     def extended(self, system: MnaSystem, extra: int) -> "MomentSet":
         """A new set with ``extra`` further moments appended (incremental
         order escalation reuses everything already computed)."""
-        vectors = list(self.vectors)
-        m = vectors[-1] if vectors else None
-        for _ in range(extra):
-            if m is None:
-                m = system.solve_augmented(system.C @ self.initial)
-            else:
-                m = system.solve_augmented(-(system.C @ m))
-            vectors.append(m)
-            system.stats.add("moment_solves", 1)
-            system.stats.add("moments_computed", 1)
-        return MomentSet(self.initial, tuple(vectors))
+        return MomentSet(self.initial, self.vectors + _continue(system, self, extra))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,17 +151,7 @@ class MomentBatch:
     def extended(self, system: MnaSystem, extra: int) -> "MomentBatch":
         """Append ``extra`` further moment orders — one shared multi-RHS
         solve per order regardless of :attr:`width`."""
-        vectors = list(self.vectors)
-        m = vectors[-1] if vectors else None
-        for _ in range(extra):
-            if m is None:
-                m = system.solve_augmented(system.C @ self.initial)
-            else:
-                m = system.solve_augmented(-(system.C @ m))
-            vectors.append(m)
-            system.stats.add("moment_solves", 1)
-            system.stats.add("moments_computed", self.width)
-        return MomentBatch(self.initial, tuple(vectors))
+        return MomentBatch(self.initial, self.vectors + _continue(system, self, extra))
 
     def column(self, i: int) -> MomentSet:
         """Problem ``i``'s chain as a standalone :class:`MomentSet`."""
@@ -138,14 +169,7 @@ def homogeneous_moments(system: MnaSystem, y0: np.ndarray, count: int) -> Moment
     one part in 10⁹ of the state scale.
     """
     y0 = np.asarray(y0, dtype=float)
-    if system.floating_groups:
-        charges = system.group_charge(y0)
-        scale = float(np.abs(system.C @ y0).max()) + 1e-300
-        if np.any(np.abs(charges) > _CHARGE_TOL * scale):
-            raise AnalysisError(
-                "homogeneous initial state carries trapped charge; the "
-                "particular solution must absorb floating-group charge"
-            )
+    _reject_trapped_charge(system, y0[:, np.newaxis])
     return MomentSet(y0, ()).extended(system, count)
 
 
@@ -162,16 +186,7 @@ def homogeneous_moments_batch(
     y0_columns = np.asarray(y0_columns, dtype=float)
     if y0_columns.ndim != 2:
         raise AnalysisError("homogeneous_moments_batch expects column-stacked states")
-    if system.floating_groups:
-        for i in range(y0_columns.shape[1]):
-            y0 = y0_columns[:, i]
-            charges = system.group_charge(y0)
-            scale = float(np.abs(system.C @ y0).max()) + 1e-300
-            if np.any(np.abs(charges) > _CHARGE_TOL * scale):
-                raise AnalysisError(
-                    "homogeneous initial state carries trapped charge; the "
-                    "particular solution must absorb floating-group charge"
-                )
+    _reject_trapped_charge(system, y0_columns)
     return MomentBatch(y0_columns, ()).extended(system, count)
 
 
@@ -204,25 +219,16 @@ def particular_solution(
 
     Raises :class:`AnalysisError` when a ramp source feeds net current into
     a floating group — the trapped charge would grow quadratically and no
-    linear particular solution exists.
+    linear particular solution exists.  This is the one-column case of
+    :func:`particular_solutions`.
     """
-    b0 = system.B @ np.asarray(u0, dtype=float)
-    b1 = system.B @ np.asarray(u1, dtype=float)
-
-    charge_c1 = None
-    if system.floating_groups:
-        ramp_injection = system.group_injection(np.asarray(u1, dtype=float))
-        scale = float(np.abs(b1).max()) + 1e-300
-        if np.any(np.abs(ramp_injection) > _CHARGE_TOL * scale):
-            raise AnalysisError(
-                "a ramp source injects current into a floating node group; "
-                "its charge grows without bound"
-            )
-        charge_c1 = system.group_injection(np.asarray(u0, dtype=float))
-
-    c1 = system.solve_augmented(b1, charge_c1)
-    c0 = system.solve_augmented(b0 - system.C @ c1, group_charges)
-    return ParticularSolution(c0, c1)
+    (solution,) = particular_solutions(
+        system,
+        np.asarray(u0, dtype=float)[:, np.newaxis],
+        np.asarray(u1, dtype=float)[:, np.newaxis],
+        group_charges,
+    )
+    return solution
 
 
 def particular_solutions(
@@ -234,7 +240,8 @@ def particular_solutions(
     """Particular solutions of ``k`` step+ramp excitations in one batch.
 
     ``u0_columns`` / ``u1_columns`` are ``(n_sources, k)``;
-    ``group_charges`` is ``(n_groups, k)`` (default zero).  Each column is
+    ``group_charges`` is ``(n_groups, k)``, or ``(n_groups,)`` for every
+    column alike (default zero).  Each column is
     validated exactly as :func:`particular_solution` validates a single
     excitation; the ``2k`` linear systems then collapse into **two**
     multi-RHS triangular-solve calls against the shared factorisation.

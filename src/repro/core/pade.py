@@ -21,6 +21,9 @@ Frequency scaling (paper Sec. 3.5) is applied inside
 matrix entries are all O(1); the resulting poles are scaled back by ``γ``.
 Without this the moment matrix overflows float range by third order for
 nanosecond-scale circuits (see the ablation benchmark).
+
+:func:`taylor_fit` is the same fit for a plain Taylor sequence with no
+initial-value row: transfer functions and driving-point admittances.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.errors import MomentMatrixError
+from repro.errors import ApproximationError, MomentMatrixError
 
 #: Condition-number ceiling beyond which the Hankel solve is rejected.
 _CONDITION_LIMIT = 1e13
@@ -148,3 +151,28 @@ def match_poles(moments: np.ndarray, q: int, use_scaling: bool = True) -> PadeRe
     a, condition = characteristic_polynomial(sequence, q)
     poles = poles_from_characteristic(a) * gamma
     return PadeResult(poles=poles, characteristic=a, condition_number=condition, scale=gamma)
+
+
+def taylor_fit(moments, q: int, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Poles and residues of ``Σ kᵢ/(s − pᵢ)`` from its Taylor coefficients
+    about s = 0, ``m_k = −Σ kᵢ pᵢ^{−(k+1)}``.
+
+    The frequency-domain form of :func:`match_poles` (no initial-value
+    row): the poles come from the Hankel over ``m_first … m_{first+2q−1}``,
+    scaled by γ from consecutive ratios so its entries stay O(1), and the
+    residues from the first ``q`` of those coefficients.  Raises
+    :class:`ApproximationError` when the residue system is singular.
+    """
+    working = np.asarray(moments[first : first + 2 * q], dtype=float)
+    gamma = choose_scale(working)
+    a, _ = characteristic_polynomial(working * gamma ** np.arange(len(working)), q)
+    poles = poles_from_characteristic(a) * gamma
+
+    A = np.empty((q, q), dtype=complex)
+    for i in range(q):
+        A[i, :] = -(poles ** -(first + i + 1))
+    try:
+        residues = np.linalg.solve(A, working[:q].astype(complex))
+    except np.linalg.LinAlgError as exc:
+        raise ApproximationError(f"residue system singular: {exc}") from exc
+    return poles, residues

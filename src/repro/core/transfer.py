@@ -32,7 +32,8 @@ import scipy.sparse
 
 from repro.analysis.mna import MnaSystem
 from repro.circuit.elements import GROUND, canonical_node
-from repro.core.pade import characteristic_polynomial, choose_scale, poles_from_characteristic
+from repro.core.moments import moment_chain
+from repro.core.pade import taylor_fit
 from repro.errors import ApproximationError, MomentMatrixError
 
 
@@ -71,9 +72,8 @@ def transfer_moments(
                 "source drives a floating capacitive group; no DC transfer "
                 "function exists"
             )
-    if expansion_point == 0.0:
-        solve = system.solve_augmented
-    else:
+    solve = None
+    if expansion_point != 0.0:
         if expansion_point < 0.0:
             raise ApproximationError(
                 "the expansion point must lie in the right half plane "
@@ -87,13 +87,8 @@ def transfer_moments(
         def solve(vector):
             return system._solve(factor, vector)
 
-    moments = np.empty(count)
-    vector = solve(rhs)
-    moments[0] = vector[row]
-    for k in range(1, count):
-        vector = solve(-(system.C @ vector))
-        moments[k] = vector[row]
-    return moments
+    vectors = moment_chain(system, rhs, count, solve)
+    return np.array([vector[row] for vector in vectors], dtype=float)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,31 +182,9 @@ def reduce_transfer(
         raise MomentMatrixError(f"order {q} needs {needed} transfer moments")
 
     # The [q/q] fit runs the identical pipeline on the shifted-by-one
-    # sequence m₁ … m_{2q}; d never enters those coefficients.
-    working = moments[1 : 1 + 2 * q] if direct_term else moments[: 2 * q]
-
-    # Scale exactly as in the time-domain path: m_k γ^k keeps the Hankel
-    # entries O(1).  (γ from consecutive moment ratios.)
-    gamma = choose_scale(working)
-    scaled = working * gamma ** np.arange(2 * q)
-
-    a, _ = characteristic_polynomial(scaled, q)
-    shifted_poles = poles_from_characteristic(a) * gamma
+    # sequence m₁ … m_{2q}: d never enters those coefficients.
+    shifted_poles, residues = taylor_fit(moments, q, first=1 if direct_term else 0)
     poles = shifted_poles + expansion_point
-
-    # Residues from q consecutive coefficients: m_k = −Σ kᵢ uᵢ^{−(k+1)}
-    # (k ≥ 1 in the direct-term form — those rows are d-free).
-    offset = 1 if direct_term else 0
-    A = np.empty((q, q), dtype=complex)
-    for i in range(q):
-        k = i + offset
-        A[i, :] = -(shifted_poles ** -(k + 1))
-    try:
-        residues = np.linalg.solve(
-            A, moments[offset : offset + q].astype(complex)
-        )
-    except np.linalg.LinAlgError as exc:
-        raise ApproximationError(f"transfer residue system singular: {exc}") from exc
 
     direct = 0.0
     if direct_term:

@@ -141,9 +141,7 @@ class GatewayService(ServerCore):
     shard_urls:
         Attach mode: route to these already-running daemons instead of
         spawning children (tests and docs attach in-process
-        :class:`~repro.service.server.ServiceServer` instances).  The
-        attached daemons should share this gateway's ``default_reduce``
-        setting, or routing keys and shard cache keys will disagree.
+        :class:`~repro.service.server.ServiceServer` instances).
     cache_bytes / cache_dir:
         The gateway-tier :class:`~repro.service.cache.ResultCache`
         budget and the *shared* disk directory (spawned shards write
@@ -154,10 +152,6 @@ class GatewayService(ServerCore):
     degraded_threshold:
         Consecutive transport-level forward failures that mark a shard
         degraded (shed-load + canary probing).
-    default_reduce:
-        Resolved into absent ``reduce`` fields before hashing, exactly
-        like the daemon, and passed to spawned shards so both layers
-        compute identical keys.
     shard_engine_workers / shard_queue_size:
         ``--engine-workers`` and ``--queue-size`` of each spawned shard.
     tracer:
@@ -171,7 +165,6 @@ class GatewayService(ServerCore):
                  cache_dir: str | None = None,
                  timeout: float | None = None,
                  degraded_threshold: int = 3,
-                 default_reduce: bool = False,
                  shard_engine_workers: int = 1,
                  shard_queue_size: int = 64,
                  tracer=None):
@@ -179,7 +172,7 @@ class GatewayService(ServerCore):
             raise ValueError(f"shards must be >= 1, got {shards!r}")
         super().__init__(
             ResultCache(max_bytes=cache_bytes, directory=cache_dir),
-            timeout, default_reduce,
+            timeout,
             counters=("coalesced_requests", "shard_errors", "shard_restarts",
                       "canon_memo_hits"))
         if shard_urls is not None:
@@ -187,8 +180,7 @@ class GatewayService(ServerCore):
         else:
             self._shards = [
                 ShardProcess(index, engine_workers=shard_engine_workers,
-                             queue_size=shard_queue_size, cache_dir=cache_dir,
-                             default_reduce=default_reduce)
+                             queue_size=shard_queue_size, cache_dir=cache_dir)
                 for index in range(shards)]
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._health = [Health(degraded_threshold) for _ in self._shards]
@@ -246,7 +238,7 @@ class GatewayService(ServerCore):
                 self._counters["canon_memo_hits"] += 1
         if parse:
             try:
-                key, params = canonicalize(kind, raw_body, self.default_reduce)
+                key, params = canonicalize(kind, raw_body)
             except Exception as exc:  # every waiting copy gets the 400 too
                 with self._lock:
                     self._canon_memo.pop(digest, None)  # refused: not kept
@@ -437,7 +429,6 @@ def serve_gateway(host: str = "127.0.0.1", port: int = 8050, *,
                   cache_dir: str | None = None,
                   timeout: float | None = None,
                   degraded_threshold: int = 3,
-                  default_reduce: bool = False,
                   shard_engine_workers: int = 1,
                   shard_queue_size: int = 64,
                   fault_spec: str | None = None, fault_seed: int = 0,
@@ -456,7 +447,6 @@ def serve_gateway(host: str = "127.0.0.1", port: int = 8050, *,
         shards, host=host, port=port, cache_bytes=cache_bytes,
         cache_dir=cache_dir, timeout=timeout,
         degraded_threshold=degraded_threshold,
-        default_reduce=default_reduce,
         shard_engine_workers=shard_engine_workers,
         shard_queue_size=shard_queue_size,
     ).serve_forever(announce=announce)

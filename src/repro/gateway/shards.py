@@ -115,13 +115,11 @@ class ShardProcess:
     owned = True
 
     def __init__(self, index: int, *, engine_workers: int = 1,
-                 queue_size: int = 64, cache_dir: str | None = None,
-                 default_reduce: bool = False):
+                 queue_size: int = 64, cache_dir: str | None = None):
         self.index = index
         self.engine_workers = engine_workers
         self.queue_size = queue_size
         self.cache_dir = cache_dir
-        self.default_reduce = default_reduce
         self.url: str | None = None
         self.restarts = 0
         self._process: subprocess.Popen | None = None
@@ -137,8 +135,6 @@ class ShardProcess:
         ]
         if self.cache_dir is not None:
             command += ["--cache-dir", self.cache_dir]
-        if self.default_reduce:
-            command += ["--reduce"]
         return command
 
     def spawn(self) -> str:

@@ -42,7 +42,11 @@ def response_record(node: str, response, threshold: float | None = None) -> dict
 
     ``response`` is an :class:`~repro.core.driver.AweResponse`.  Delay and
     final-value fields degrade to ``None`` where the quantity does not
-    exist (a victim node with no transition, an unstable fixed-order fit).
+    exist: an unstable fixed-order fit has no final value, a threshold
+    the waveform never reaches has no crossing, and a node with no net
+    transition (``|final − initial| < 10⁻⁶·max(|final|, |initial|, 1)``,
+    e.g. a crosstalk victim) has no 50 % delay.  Every surface prints
+    its tables from these records.
     """
     estimate = response.error_estimate
     record: dict = {
@@ -75,24 +79,28 @@ def response_record(node: str, response, threshold: float | None = None) -> dict
         ],
     }
     try:
-        record["final_value"] = float(response.waveform.final_value())
+        final = float(response.waveform.final_value())
     except ApproximationError:
-        record["final_value"] = None
-    for name, compute in (
-        ("delay_50_s", response.delay_50),
-        ("delay_threshold_s",
-         (lambda: response.delay(threshold)) if threshold is not None else None),
-    ):
-        if compute is None:
-            continue
-        try:
-            value = compute()
-            record[name] = None if value != value else float(value)  # NaN → None
-        except (ReproError, ValueError):
-            # "never crosses the threshold" and friends: the delay simply
-            # does not exist for this response.
-            record[name] = None
+        final = None
+    record["final_value"] = final
+    initial = float(response.waveform.evaluate(0.0))
+    switches = final is not None and abs(final - initial) >= 1e-6 * max(
+        abs(final), abs(initial), 1.0)
+    record["delay_50_s"] = _delay_or_none(response.delay_50) if switches else None
+    if threshold is not None:
+        record["delay_threshold_s"] = _delay_or_none(
+            lambda: response.delay(threshold))
     return record
+
+
+def _delay_or_none(compute) -> float | None:
+    try:
+        value = compute()
+    except (ReproError, ValueError):
+        # "never crosses the threshold" and friends: the delay simply
+        # does not exist for this response.
+        return None
+    return None if value != value else float(value)  # NaN → None
 
 
 def job_record(result, parse_s: float | None = None,

@@ -29,7 +29,8 @@ from repro.circuit.writer import write_netlist
 #: report schema changes so stale persisted entries can never be served.
 #: /2: the ``reduce`` field joined the payload — a reduced and an
 #: unreduced run of the same deck are different documents.
-KEY_SCHEMA = "repro.analysis-request/2"
+#: /3: a node with no net transition reports a null 50 % delay.
+KEY_SCHEMA = "repro.analysis-request/3"
 
 #: Same role for ``POST /sta`` requests (STA report schema + canonical
 #: design form).
@@ -66,10 +67,10 @@ def request_key(
     that order, so reordered nodes are a genuinely different document.
     With a fixed ``order`` the error target is irrelevant to the result
     and is normalised out, so ``order=2`` requests share an entry no
-    matter what target they also carried.  ``reduce`` is the *effective*
-    RC-chain pre-reduction setting (request field or server default,
-    already resolved): reduced results approximate higher moments, so
-    they must never be served for an unreduced request or vice versa.
+    matter what target they also carried.  ``reduce`` is the request's
+    RC-chain pre-reduction setting (absent means false): reduced results
+    approximate higher moments, so they must never be served for an
+    unreduced request or vice versa.
     """
     payload = {
         "schema": KEY_SCHEMA,

@@ -205,8 +205,8 @@ class AnalysisClient:
         ``nodes`` one name or a list.  The remaining parameters mirror
         ``python -m repro report``; ``timeout`` is the server-side
         per-request budget in seconds; ``reduce`` asks the server to
-        collapse series RC chains first (``None`` defers to the server's
-        default).  Transient failures are retried (see the class
+        collapse series RC chains first (``None`` leaves the field out,
+        which means no).  Transient failures are retried (see the class
         docstring); the request is idempotent server-side so a retry can
         never double-compute a cached result.
         """

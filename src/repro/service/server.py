@@ -150,12 +150,9 @@ def _deck_text(payload: dict) -> str:
     return deck
 
 
-def _parse_analyze(payload: dict, default_reduce: bool) -> dict:
-    """Validate an ``/analyze`` request, then parse its deck.
-
-    An absent ``reduce`` field takes the server's ``default_reduce``
-    before hashing, so the cache key always reflects what actually ran.
-    """
+def _parse_analyze(payload: dict) -> dict:
+    """Validate an ``/analyze`` request, then parse its deck (an absent
+    ``reduce`` field means no RC-chain pre-reduction)."""
     text = _deck_text(payload)
     nodes = payload.get("nodes")
     if isinstance(nodes, str):
@@ -175,14 +172,14 @@ def _parse_analyze(payload: dict, default_reduce: bool) -> dict:
                              minimum=1),
         "threshold": _number(payload, "threshold"),
         "timeout": _number(payload, "timeout", minimum=0.0),
-        "reduce": default_reduce if reduce is None else reduce,
+        "reduce": bool(reduce),
     }
     params["deck"] = deck = parse_netlist(text)
     params["label"] = deck.title or "deck"
     return params
 
 
-def _parse_sta(payload: dict, default_reduce: bool) -> dict:
+def _parse_sta(payload: dict) -> dict:
     """Validate a ``/sta`` request (cheap, structural only).
 
     Builds the :class:`~repro.sta.Design`, corners, and optional library
@@ -224,7 +221,7 @@ def _parse_sta(payload: dict, default_reduce: bool) -> dict:
             "timeout": timeout, "label": design.name}
 
 
-def _parse_sweep(payload: dict, default_reduce: bool) -> dict:
+def _parse_sweep(payload: dict) -> dict:
     """Validate a ``/sweep`` request, then parse its deck.
 
     The plan is materialised as a :class:`~repro.sweep.SweepPlan` (its
@@ -346,7 +343,7 @@ class Endpoint(NamedTuple):
 
     #: The request fields accepted; any other field is a 400.
     fields: frozenset
-    #: ``(payload, default_reduce) -> params``; raises ``ValueError`` or
+    #: ``payload -> params``; raises ``ValueError`` or
     #: :class:`~repro.errors.ReproError` for a bad request.
     parse: Callable
     #: ``params -> key``: the content address naming the cache entry
@@ -376,14 +373,14 @@ ENDPOINTS = {
 }
 
 
-def canonicalize(kind: str, raw: bytes, default_reduce: bool = False):
+def canonicalize(kind: str, raw: bytes):
     """Parse a ``kind`` request body: ``(key, params)``.
 
     The daemon and the gateway both call this, so routing can never
     disagree with the shard caches about what a request means.
     """
     endpoint = ENDPOINTS[kind]
-    params = endpoint.parse(_decode(raw, endpoint.fields), default_reduce)
+    params = endpoint.parse(_decode(raw, endpoint.fields))
     return endpoint.key(params), params
 
 
@@ -457,10 +454,9 @@ class ServerCore:
     name = "service"
 
     def __init__(self, cache: ResultCache, timeout: float | None,
-                 default_reduce: bool, counters=()):
+                 counters=()):
         self.cache = cache
         self.timeout = timeout
-        self.default_reduce = default_reduce
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._in_flight = 0
@@ -518,7 +514,7 @@ class ServerCore:
         return self._dispatch(kind, raw_body, key, params, started, budget)
 
     def _canonicalize(self, raw_body: bytes, kind: str):
-        return canonicalize(kind, raw_body, self.default_reduce)
+        return canonicalize(kind, raw_body)
 
     def _wait(self, future, key: str, started: float, budget, **tags):
         """Wait for a dispatched request within its budget and count its
@@ -638,19 +634,13 @@ class AnalysisService(ServerCore):
     degraded_threshold:
         Consecutive worker-crash requests that flip the service into the
         degraded (shed-load) state; the first clean request clears it.
-    default_reduce:
-        RC-chain pre-reduction (:func:`repro.reduce.reduce_circuit`) for
-        requests whose ``reduce`` field is absent; an explicit request
-        field always wins.  The *effective* setting is part of the cache
-        key, so flipping the default can never serve a stale entry.
     """
 
     def __init__(self, workers: int = 2, queue_size: int = 16,
                  cache: ResultCache | None = None,
                  timeout: float | None = None,
                  engine_workers: int = 1,
-                 degraded_threshold: int = 3,
-                 default_reduce: bool = False):
+                 degraded_threshold: int = 3):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
         if queue_size < 1:
@@ -659,8 +649,7 @@ class AnalysisService(ServerCore):
             raise ValueError(
                 f"engine_workers must be >= 1, got {engine_workers!r}")
         super().__init__(cache if cache is not None else ResultCache(),
-                         timeout, default_reduce,
-                         counters=("rejected_queue_full",))
+                         timeout, counters=("rejected_queue_full",))
         self.workers = workers
         self.engine_workers = engine_workers
         self.health = Health(degraded_threshold)
@@ -707,7 +696,7 @@ class AnalysisService(ServerCore):
 
     def _canonicalize(self, raw_body: bytes, kind: str):
         began = time.monotonic()
-        key, params = canonicalize(kind, raw_body, self.default_reduce)
+        key, params = canonicalize(kind, raw_body)
         params["parse_s"] = time.monotonic() - began
         return key, params
 
@@ -1078,7 +1067,6 @@ class ServiceServer(HttpFront):
 def serve(host: str = "127.0.0.1", port: int = 8040, *, workers: int = 2,
           queue_size: int = 16, cache_bytes: int = 64 * 1024 * 1024,
           cache_dir: str | None = None, timeout: float | None = None,
-          default_reduce: bool = False,
           engine_workers: int = 1, degraded_threshold: int = 3,
           fault_spec: str | None = None, fault_seed: int = 0,
           announce=None) -> int:
@@ -1095,7 +1083,6 @@ def serve(host: str = "127.0.0.1", port: int = 8040, *, workers: int = 2,
     cache = ResultCache(max_bytes=cache_bytes, directory=cache_dir)
     service = AnalysisService(workers=workers, queue_size=queue_size,
                               cache=cache, timeout=timeout,
-                              default_reduce=default_reduce,
                               engine_workers=engine_workers,
                               degraded_threshold=degraded_threshold)
     ServiceServer(host=host, port=port, service=service).serve_forever(

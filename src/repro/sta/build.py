@@ -12,15 +12,18 @@ shielding, which a lumped-C model would miss).
 Two interconnect modes:
 
 ``"awe"``
-    Per-sink delay and output slew measured on the AWE waveform; the
-    load each driver sees is the total capacitance of the O'Brien -
-    Savarino pi-model fitted at the driving point.
+    Per-sink delay and output slew measured on the AWE waveform.
 
 ``"elmore"``
     First-moment only: delay ``ln 2 * T_elmore``, slew degradation
-    ``sqrt(slew_in^2 + (ln 9 * T_elmore)^2)``, load = sum of wire and
-    pin capacitance.  Fast, pessimism-free of AWE cost — the baseline
-    the paper improves on.
+    ``sqrt(slew_in^2 + (ln 9 * T_elmore)^2)``.  Fast, pessimism-free of
+    AWE cost — the baseline the paper improves on.
+
+In both modes the load each driver sees is the net's total
+capacitance, scaled wire plus pins.  For these RC nets that is the
+driving-point admittance moment y₁, which is also the total capacitance
+of the O'Brien - Savarino pi-model fitted there, so no pi-model is
+fitted.
 
 A :class:`Corner` scales wire parasitics (``wire_r``, ``wire_c``) and
 derates the cells (``cell`` multiplies delay/slew tables and drive
@@ -40,7 +43,6 @@ from repro.rctree.elmore import elmore_delays
 from repro.sta.design import ROOT, Design, Net, PortIn
 from repro.sta.graph import TimingGraph
 from repro.sta.library import CellLibrary, default_library
-from repro.timing.pi_model import pi_model
 from repro.trace import NULL_TRACER
 
 _LN2 = math.log(2.0)
@@ -122,12 +124,18 @@ class _Sink:
 class _NetEval:
     """Per-sink interconnect timing of one evaluated net."""
 
-    __slots__ = ("load", "delays", "slews")
+    __slots__ = ("delays", "slews")
 
-    def __init__(self, load: float):
-        self.load = load
+    def __init__(self):
         self.delays: dict[str, float] = {}
         self.slews: dict[str, float] = {}
+
+
+def _net_load(net: Net, corner: Corner, sinks: list) -> float:
+    """The load the net's driver sees: scaled wire plus pin capacitance
+    (y₁ of the driving-point admittance; just the pins on an ideal wire)."""
+    load = sum(seg.capacitance * corner.wire_c for seg in net.segments)
+    return load + sum(sink.capacitance for sink in sinks)
 
 
 def _wire_circuit(net: Net, corner: Corner, drive_resistance: float,
@@ -168,13 +176,12 @@ def _evaluate_net_awe(net: Net, corner: Corner, drive_resistance: float,
                 else Ramp(0.0, 1.0, rise_time=input_slew))
     try:
         analyzer = AweAnalyzer(circuit, {"Vdrv": stimulus}, tracer=tracer)
-        load = pi_model(analyzer.system, "Vdrv").total_capacitance
         if drive_resistance > 0.0:
             t50_drv = analyzer.response("drv").delay_50()
         else:
             # Source node: the ramp itself crosses 50 % at slew/2.
             t50_drv = 0.5 * input_slew if input_slew > 0.0 else 0.0
-        result = _NetEval(load)
+        result = _NetEval()
         for sink in sinks:
             tap = "drv" if sink.tap == ROOT else sink.tap
             response = analyzer.response(tap)
@@ -200,9 +207,7 @@ def _evaluate_net_elmore(net: Net, corner: Corner, drive_resistance: float,
             f"Elmore evaluation of net {net.name!r} failed (the wire must "
             f"be an RC tree; use interconnect='awe' otherwise): {exc}"
         ) from exc
-    load = sum(seg.capacitance * corner.wire_c for seg in net.segments)
-    load += sum(sink.capacitance for sink in sinks)
-    result = _NetEval(load)
+    result = _NetEval()
     t_drv = delays.get("drv", 0.0)
     for sink in sinks:
         tap = "drv" if sink.tap == ROOT else sink.tap
@@ -216,9 +221,8 @@ def _evaluate_net(net: Net, corner: Corner, drive_resistance: float,
                   input_slew: float, sinks: list, interconnect: str,
                   tracer) -> _NetEval:
     if not net.segments:
-        # Ideal wire: zero interconnect delay, the slew passes through,
-        # and the driver sees exactly the pin loads.
-        result = _NetEval(sum(sink.capacitance for sink in sinks))
+        # Ideal wire: zero interconnect delay, the slew passes through.
+        result = _NetEval()
         for sink in sinks:
             result.delays[sink.node] = 0.0
             result.slews[sink.node] = input_slew
@@ -285,6 +289,9 @@ def build_timing_graph(
             net_sinks[inst.connections[pin]].append(
                 _Sink(node, tap, float(cell.input_capacitance[pin])))
 
+    net_load = {net.name: _net_load(net, corner, net_sinks[net.name])
+                for net in design.nets}
+
     graph = TimingGraph(name=f"{design.name} @ {corner.name}")
     for node in order:
         graph.add_node(node)
@@ -314,10 +321,10 @@ def build_timing_graph(
         sinks = net_sinks[net_name]
         evaluation = _evaluate_net(net, corner, drive_resistance, input_slew,
                                    sinks, interconnect, tracer)
-        loads[driver_node] = evaluation.load
+        loads[driver_node] = net_load[net_name]
         tracer.event("sta_net", net=net_name, driver=driver_node,
                      mode="ideal" if not net.segments else interconnect,
-                     load_f=evaluation.load, sinks=len(sinks))
+                     load_f=net_load[net_name], sinks=len(sinks))
         for sink in sinks:
             graph.add_edge(driver_node, sink.node,
                            evaluation.delays[sink.node], kind="net",
@@ -346,26 +353,7 @@ def build_timing_graph(
             # Instance output pin: the driven net's load gates the cell
             # arcs, so freeze the arcs first, then the net.
             net_name = inst.connections[pin]
-            net = design.net(net_name)
-            sinks = net_sinks[net_name]
-            drive_resistance = cell.drive_resistance[pin] * corner.cell
-            # The load is slew-independent; probe it cheaply for the
-            # arc lookups (the net evaluation recomputes the same value).
-            if net.segments and interconnect == "awe":
-                probe = _wire_circuit(net, corner, drive_resistance, sinks)
-                try:
-                    load = pi_model(AweAnalyzer(probe).system,
-                                    "Vdrv").total_capacitance
-                except ReproError as exc:
-                    raise StaError(
-                        f"load extraction for net {net_name!r} failed: "
-                        f"{exc}") from exc
-            elif net.segments:
-                load = sum(s.capacitance * corner.wire_c
-                           for s in net.segments)
-                load += sum(s.capacitance for s in sinks)
-            else:
-                load = sum(s.capacitance for s in sinks)
+            load = net_load[net_name]
             for arc in cell.arcs_to(pin):
                 src = inst.pin_node(arc.input)
                 in_slew = slew_at[src]
@@ -375,7 +363,8 @@ def build_timing_graph(
                                label=f"{inst.cell}:{arc.input}->{arc.output}")
                 edge_slew[(src, node)] = out_slew
             arrival_at[node], slew_at[node] = incoming_worst(node)
-            freeze_net(net_name, node, drive_resistance, slew_at[node])
+            freeze_net(net_name, node, cell.drive_resistance[pin] * corner.cell,
+                       slew_at[node])
         tracer.event("sta_frozen", design=design.name, corner=corner.name,
                      nodes=graph.node_count, edges=graph.edge_count)
 

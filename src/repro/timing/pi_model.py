@@ -31,6 +31,7 @@ import numpy as np
 from repro.analysis.mna import MnaSystem
 from repro.circuit.netlist import Circuit
 from repro.core.driver import AweAnalyzer
+from repro.core.moments import moment_chain
 from repro.analysis.sources import Ramp, Step
 from repro.errors import AnalysisError
 
@@ -43,18 +44,12 @@ def driving_point_moments(
     ``Y(s) = I(s)/V(s)`` with ``I`` the current the source delivers (the
     negative of the MNA branch current, which is directed out of the
     positive node *into* the source).  ``count`` moments are returned,
-    ``y₀`` first.
+    ``y₀`` first, from the same counted recursion as every other moment.
     """
     row = system.index.current(source)
-    column = system.index.source(source)
-    rhs = system.b_column(column)
-    moments = np.empty(count)
-    vector = system.solve_augmented(rhs)
-    moments[0] = -vector[row]
-    for k in range(1, count):
-        vector = system.solve_augmented(-(system.C @ vector))
-        moments[k] = -vector[row]
-    return moments
+    rhs = system.b_column(system.index.source(source))
+    vectors = moment_chain(system, rhs, count)
+    return np.array([-vector[row] for vector in vectors], dtype=float)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -42,6 +42,12 @@ class TestReport:
         ) == 0
         assert "thr delay" in capsys.readouterr().out
 
+    def test_unreached_threshold_reports_na(self, deck_file, capsys):
+        assert main(
+            ["report", deck_file, "--node", "2", "--threshold", "6.0"]
+        ) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split()[-1] == "n/a"
+
     def test_multiple_nodes(self, deck_file, capsys):
         assert main(["report", deck_file, "--node", "1", "--node", "2"]) == 0
         out = capsys.readouterr().out
@@ -106,6 +112,29 @@ class TestShippedDecks:
     def test_report_runs(self, shipped, capsys):
         node = "a3" if "bus" in shipped else "t6"
         assert main(["report", shipped, "--node", node, "--target", "0.05"]) == 0
+
+    @staticmethod
+    def deck(name):
+        import os
+
+        return os.path.abspath(os.path.join(
+            os.path.dirname(__file__), "..", "examples", "decks", name))
+
+    def test_unstable_fixed_order_reports_na(self, capsys):
+        # Order 3 on the lossy board trace fits an unstable pole: no final
+        # value and no delay, which the JSON report also gives as null.
+        assert main(["report", self.deck("pcb_trace.sp"), "--node", "t6",
+                     "--order", "3"]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split()
+        assert row == ["t6", "3", "n/a", "n/a", "n/a"]
+
+    def test_batch_row_after_unstable_fit(self, capsys):
+        decks = [self.deck("pcb_trace.sp"), self.deck("bus_segment.sp")]
+        assert main(["batch", *decks, "--node", "t6", "--order", "3"]) == 1
+        out = capsys.readouterr().out
+        assert " t6 " in out and "n/a" in out
+        assert "FAILED [CircuitError]" in out  # the second deck's row
+        assert "1 of 2 job(s) failed" in out
 
     def test_victim_without_transition_reports_na(self, capsys):
         import os

@@ -196,6 +196,17 @@ class TestBuildReport:
         response = document["jobs"][0]["responses"][0]
         assert response["delay_threshold_s"] is None
 
+    def test_victim_without_transition_has_no_50_percent_delay(self):
+        from repro import AweAnalyzer, parse_netlist_file
+
+        deck = parse_netlist_file(str(Path(__file__).resolve().parent.parent
+                                      / "examples" / "decks" / "bus_segment.sp"))
+        response = AweAnalyzer(deck.circuit, deck.stimuli).response(
+            "v2", error_target=0.05)
+        record = response_record("v2", response)
+        assert record["final_value"] == pytest.approx(0.0, abs=1e-9)
+        assert record["delay_50_s"] is None
+
     def test_response_record_terms_match_poles(self):
         results, _ = self._results(n=1)
         node, response = next(iter(results[0].responses.items()))

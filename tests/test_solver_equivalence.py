@@ -125,6 +125,28 @@ class TestMultiRhsEquivalence:
             assert np.allclose(particular.c1, single.c1, rtol=1e-12, atol=0)
 
 
+class TestEveryChainIsCounted:
+    """Transfer and driving-point chains run the same counted recursion
+    as the time-domain moments."""
+
+    @pytest.mark.parametrize("expansion_point", [0.0, 1e9])
+    def test_transfer_moments(self, expansion_point):
+        from repro.core.transfer import transfer_moments
+
+        system = MnaSystem(rc_ladder(12))
+        transfer_moments(system, "Vin", "12", 5, expansion_point)
+        assert system.stats.moment_solves == 5
+        assert system.stats.moments_computed == 5
+
+    def test_driving_point_moments(self):
+        from repro.timing.pi_model import driving_point_moments
+
+        system = MnaSystem(rc_ladder(12))
+        driving_point_moments(system, "Vin", 6)
+        assert system.stats.moment_solves == 6
+        assert system.stats.moments_computed == 6
+
+
 class TestSparseDenseSwitchover:
     def test_default_backend_threshold(self):
         # rc_ladder(n) has dimension n + 2 (n + 1 node voltages + Vin branch).

@@ -341,6 +341,60 @@ class TestFourSinkChain:
             assert elmore[sink] == pytest.approx(delay, rel=0.5), sink
 
 
+class TestNetLoad:
+    """A driver's load is the net's summed capacitance, with no second
+    analysis of the net."""
+
+    corners = (Corner(name="slow", wire_r=1.25, wire_c=1.1, cell=1.15),
+               Corner(name="fast", wire_r=0.85, wire_c=0.9, cell=0.9))
+
+    @staticmethod
+    def designs():
+        return (two_stage_design(), Design.from_dict(FOUR_SINK_CHAIN))
+
+    @pytest.mark.parametrize("corner", corners, ids=lambda c: c.name)
+    def test_load_is_the_pi_model_total_capacitance(self, corner, monkeypatch):
+        from repro.analysis.mna import MnaSystem
+        from repro.sta import build
+        from repro.timing.pi_model import pi_model
+
+        circuits = {}
+        original = build._wire_circuit
+
+        def recording(net, *args):
+            circuits[net.name] = original(net, *args)
+            return circuits[net.name]
+
+        monkeypatch.setattr(build, "_wire_circuit", recording)
+        for design in self.designs():
+            circuits.clear()
+            built = build_timing_graph(design, corner=corner)
+            wired = {net.name for net in design.nets if net.segments}
+            assert circuits.keys() == wired
+            for name, circuit in circuits.items():
+                (driver,) = {e.src for e in built.graph.edges()
+                             if e.kind == "net" and e.label == name}
+                total = pi_model(MnaSystem(circuit), "Vdrv").total_capacitance
+                assert built.loads[driver] == pytest.approx(total, rel=1e-12)
+
+    def test_one_analyzer_per_wired_net_per_corner(self, monkeypatch):
+        from repro.core.driver import AweAnalyzer
+
+        built = []
+        original = AweAnalyzer.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[0])
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(AweAnalyzer, "__init__", counting)
+        for design in self.designs():
+            built.clear()
+            run_sta(design, k=2, corners=self.corners)
+            wired = sum(1 for net in design.nets if net.segments)
+            assert len(built) == wired * len(self.corners)
+
+
 class TestCorner:
     def test_round_trip(self):
         corner = Corner(name="fast", wire_r=0.8, wire_c=0.9, cell=0.7)
