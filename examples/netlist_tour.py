@@ -9,8 +9,6 @@ reference.
 Run:  python examples/netlist_tour.py
 """
 
-import numpy as np
-
 from repro import AweAnalyzer, MnaSystem, circuit_poles, parse_netlist, simulate
 from repro.circuit.topology import is_rc_tree, tree_link_partition
 from repro.circuit.units import format_engineering as fmt
@@ -65,13 +63,12 @@ def main():
     reference = simulate(circuit, stimuli, 8e-9)
     for node in ("a3", "v1", "v2"):
         response = analyzer.response(node, error_target=0.01)
-        window = response.waveform.suggested_window()
-        waveform = response.waveform.to_waveform(np.linspace(0, window, 3000))
         final = response.waveform.final_value()
         if abs(final) > 0.5:  # a switching node: report delay
-            metric = fmt(waveform.delay_50(v_start=0.0, v_end=final), "s")
+            metric = fmt(response.delay_50(), "s")
         else:  # a victim node: report the noise peak
-            metric = f"peak {waveform.values.max()*1e3:.1f} mV"
+            peak = response.waveform.to_waveform(samples=3000).values.max()
+            metric = f"peak {peak*1e3:.1f} mV"
         err = l2_error(reference.voltage(node),
                        response.waveform.to_waveform(reference.voltage(node).times))
         print(f"  {node:<5} {response.order:>5} {response.error_estimate:>9.3%} "

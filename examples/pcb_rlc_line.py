@@ -9,8 +9,6 @@ the net stops ringing.
 Run:  python examples/pcb_rlc_line.py
 """
 
-import numpy as np
-
 from repro import AweAnalyzer, MnaSystem, Ramp, Step, circuit_poles, simulate
 from repro.circuit.topology import is_rc_tree
 from repro.circuit.units import format_engineering as fmt
@@ -61,11 +59,10 @@ def main():
     for rise in (None, 0.2e-9, 0.5e-9, 1e-9, 2e-9, 4e-9):
         stim = {"Vin": Step(0.0, 3.3) if rise is None else Ramp(0.0, 3.3, rise_time=rise)}
         sweep = AweAnalyzer(circuit, stim, max_order=10).response(output, order=6)
-        window = sweep.waveform.suggested_window()
-        waveform = sweep.waveform.to_waveform(np.linspace(0, window, 4000))
+        overshoot = sweep.waveform.to_waveform(samples=4000).overshoot()
         label = "step" if rise is None else fmt(rise, "s")
-        print(f"  {label:>10}  {waveform.overshoot():>8.1%}  "
-              f"{fmt(waveform.delay_50(v_start=0.0, v_end=3.3), 's'):>10}")
+        print(f"  {label:>10}  {overshoot:>8.1%}  "
+              f"{fmt(sweep.delay_50(), 's'):>10}")
     print("\nslower edges trade delay for signal integrity - the paper's")
     print("point about rise time dominating board-level timing.")
 

@@ -128,19 +128,15 @@ class AweResponse:
         best = max(self.components, key=lambda c: c.order)
         return best.poles
 
-    def delay(self, threshold: float, t_max: float | None = None, samples: int = 4000) -> float:
+    def delay(self, threshold: float) -> float:
         """First time the response crosses ``threshold`` (Sec. 5.3)."""
-        window = t_max if t_max is not None else self.waveform.suggested_window()
-        sampled = self.waveform.to_waveform(np.linspace(0.0, window, samples))
-        return sampled.threshold_delay(threshold)
+        return self.waveform.threshold_delay(threshold)
 
-    def delay_50(self, t_max: float | None = None, samples: int = 4000) -> float:
+    def delay_50(self) -> float:
         """50 %-of-swing delay (paper Fig. 2) using initial/final values."""
-        window = t_max if t_max is not None else self.waveform.suggested_window()
-        sampled = self.waveform.to_waveform(np.linspace(0.0, window, samples))
-        v0 = sampled.initial
+        v0 = float(self.waveform.evaluate(0.0))
         v1 = self.waveform.final_value()
-        return sampled.threshold_delay(0.5 * (v0 + v1), rising=v1 > v0)
+        return self.waveform.threshold_delay(0.5 * (v0 + v1), rising=v1 > v0)
 
 
 class AweAnalyzer:

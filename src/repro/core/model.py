@@ -33,6 +33,10 @@ from repro.waveform import Waveform
 #: A transient term: (pole, power, residue) — see solve_residues().
 Term = tuple[complex, int, complex]
 
+#: Sample counts of the bracketing scan and of each zoom, and the bracket
+#: width (relative to the window) at which a crossing is interpolated.
+_SCAN_SAMPLES, _ZOOM_SAMPLES, _CROSSING_TOLERANCE = 4000, 257, 1e-8
+
 
 @dataclasses.dataclass(frozen=True)
 class PoleResidueModel:
@@ -181,6 +185,22 @@ class AweWaveform:
             times = np.linspace(0.0, self.suggested_window(), samples)
         times = np.asarray(times, dtype=float)
         return Waveform(times, self.evaluate(times), self.name)
+
+    def threshold_delay(self, level: float, rising: bool | None = None) -> float:
+        """First crossing of ``level`` by the model itself (paper Sec. 5.3,
+        Fig. 2), with :meth:`Waveform.threshold_delay`'s contract.  A scan
+        over :meth:`suggested_window` brackets it, zooms on the model narrow
+        the bracket, and the crossing is interpolated there.  Two crossings
+        inside one scan interval are missed."""
+        window = self.suggested_window()
+        times = np.linspace(0.0, window, _SCAN_SAMPLES)
+        while True:
+            sampled = Waveform(times, self.evaluate(times), self.name)
+            crossing = sampled.threshold_delay(level, rising)
+            i = int(np.searchsorted(times, crossing, side="right")) - 1
+            if times[1] - times[0] <= _CROSSING_TOLERANCE * window or times[i] == crossing:
+                return crossing
+            times = np.linspace(times[i], times[i + 1], _ZOOM_SAMPLES)
 
     @property
     def is_stable(self) -> bool:

@@ -37,6 +37,7 @@ import numpy as np
 from repro.analysis.mna import MnaSystem
 from repro.circuit.elements import GROUND, Capacitor, CurrentSource, Resistor, VoltageSource, canonical_node
 from repro.circuit.netlist import Circuit
+from repro.core.moments import moment_chain
 from repro.errors import AnalysisError
 
 
@@ -125,9 +126,9 @@ def delay_sensitivities(
     u = system.source_vector(source_values)
     row = system.index.node(name)
 
-    # Forward solves.
-    x_inf = system.solve_augmented(system.B @ u)
-    v1 = system.solve_augmented(system.C @ x_inf)  # m0 = -e_o^T v1
+    # Forward solves: the moment chain on Bu; its second vector is -v1.
+    x_inf, minus_v1 = moment_chain(system, system.B @ u, 2)
+    v1 = -minus_v1  # m0 = -e_o^T v1
     swing = float(x_inf[row])
     if swing == 0.0:
         raise AnalysisError(f"node {name!r} sees no steady-state swing")

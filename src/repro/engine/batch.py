@@ -107,7 +107,8 @@ class BatchResult:
     :class:`~repro.core.driver.AweResponse` on success and is ``None`` on
     failure, in which case ``error``/``error_type`` describe what went
     wrong (``error_type`` is the exception class name, e.g.
-    ``"BatchTimeoutError"`` for a per-job timeout).
+    ``"BatchTimeoutError"`` for a per-job timeout; ``error`` is the
+    exception's message, or its class name when the message is empty).
 
     ``trace`` is the job's serialized trace record (the plain-dict tree
     of :meth:`repro.trace.Tracer.to_record` — it crosses the process pool
@@ -259,7 +260,7 @@ def _execute_group(circuit, entries, timeout, trace=False, attempt=0):
                     index=index,
                     label=job.label,
                     responses=None,
-                    error="".join(traceback.format_exception_only(exc)).strip(),
+                    error=str(exc) or type(exc).__name__,
                     error_type=type(exc).__name__,
                     elapsed_s=time.perf_counter() - start,
                     trace=tracer.to_record() if trace else None,

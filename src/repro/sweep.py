@@ -79,6 +79,7 @@ from repro.circuit.elements import (
 )
 from repro.circuit.netlist import Circuit
 from repro.circuit.validation import validate_for_analysis
+from repro.core.moments import moment_chain
 from repro.core.sensitivity import DelaySensitivities, delay_sensitivities
 from repro.errors import AnalysisError
 from repro.trace import NULL_TRACER
@@ -331,8 +332,8 @@ class SweepEngine:
         )
         # The factorization the base solves trigger is the one every
         # rank-1 point reuses.
-        self._x_inf, self._v1 = _moment_pair(
-            self.system, np.asarray(self.system.B @ self._u).ravel())
+        self._x_inf, self._m1 = moment_chain(
+            self.system, np.asarray(self.system.B @ self._u).ravel(), 2)
         self._z_cache: dict[str, np.ndarray] = {}
         self._source_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._gradient_cache: dict[str, object] = {}
@@ -344,7 +345,7 @@ class SweepEngine:
     def base_point(self, node: str | int) -> PointResult:
         """The unperturbed quantities at ``node``."""
         row = self._row(node)
-        dc, m1, elmore = _metrics(self._x_inf, self._v1, row)
+        dc, m1, elmore = _metrics(self._x_inf, self._m1, row)
         return PointResult(
             element="", value=0.0, label="base", mode="base",
             dc=dc, m1=m1, elmore_delay=elmore, error_estimate=0.0,
@@ -367,13 +368,13 @@ class SweepEngine:
         return cached
 
     def _source_columns(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """Cached ``(G⁻¹b_k, G⁻¹C G⁻¹b_k)`` for one source column — the
+        """Cached ``(G⁻¹b_k, −G⁻¹C G⁻¹b_k)`` for one source column — the
         exact per-unit response a source retune scales (moments are
         linear in the source vector)."""
         cached = self._source_cache.get(name)
         if cached is None:
             column = self.system.b_column(self.system.index.source(name))
-            cached = _moment_pair(self.system, column)
+            cached = tuple(moment_chain(self.system, column, 2))
             self._source_cache[name] = cached
         return cached
 
@@ -406,7 +407,7 @@ class SweepEngine:
         """
         gradient = self.gradient(node)
         base_dc, base_m1, base_elmore = _metrics(
-            self._x_inf, self._v1, row
+            self._x_inf, self._m1, row
         )
         if isinstance(element, Capacitor):
             delta = new_value - element.capacitance
@@ -466,14 +467,14 @@ class SweepEngine:
             delta_u = new_value - base_level
             s, t = self._source_columns(element.name)
             x_inf = self._x_inf + delta_u * s
-            v1 = self._v1 + delta_u * t
-            return (*_metrics(x_inf, v1, row), 0.0)
+            m1 = self._m1 + delta_u * t
+            return (*_metrics(x_inf, m1, row), 0.0)
         if isinstance(element, Capacitor):
             delta_c = new_value - element.capacitance
             z = self._z(element)
-            # ΔC = δ·wwᵀ ⇒ v1' = G⁻¹(C + ΔC)x_inf = v1 + δ(wᵀx_inf)z.
-            v1 = self._v1 + delta_c * _across(system, element, self._x_inf) * z
-            return (*_metrics(self._x_inf, v1, row), 0.0)
+            # ΔC = δ·wwᵀ ⇒ −G⁻¹(C + ΔC)x_inf = m1 − δ(wᵀx_inf)z.
+            m1 = self._m1 - delta_c * _across(system, element, self._x_inf) * z
+            return (*_metrics(self._x_inf, m1, row), 0.0)
         # Resistor: ΔG = Δg·wwᵀ.
         delta_g = 1.0 / new_value - element.conductance
         z = self._z(element)
@@ -487,11 +488,11 @@ class SweepEngine:
                     - factor * _across(system, element, base_solution) * z)
 
         x_inf = perturbed_solve(self._x_inf)
-        # v1' = G'⁻¹C x_inf': one fresh substitution with the *base*
+        # m1' = −G'⁻¹C x_inf': one fresh substitution with the *base*
         # factors, then the same rank-1 correction.
-        t = system.solve_augmented(np.asarray(system.C @ x_inf).ravel())
-        v1 = perturbed_solve(t)
-        return (*_metrics(x_inf, v1, row), 0.0)
+        t = system.solve_augmented(-np.asarray(system.C @ x_inf).ravel())
+        m1 = perturbed_solve(t)
+        return (*_metrics(x_inf, m1, row), 0.0)
 
     def variant(self, values: dict[str, float],
                 title: str | None = None) -> Circuit:
@@ -537,8 +538,8 @@ class SweepEngine:
         circuit = self.variant(elements) if elements else self.circuit
         system = MnaSystem(circuit, sparse=self.system.use_sparse)
         self.extra_factorizations += 1
-        x_inf, v1 = _moment_pair(system, np.asarray(system.B @ u).ravel())
-        return _metrics(x_inf, v1, row)
+        x_inf, m1 = moment_chain(system, np.asarray(system.B @ u).ravel(), 2)
+        return _metrics(x_inf, m1, row)
 
     # -- evaluation ------------------------------------------------------
 
@@ -663,17 +664,10 @@ class SweepEngine:
         )
 
 
-def _moment_pair(system: MnaSystem, rhs: np.ndarray):
-    """``x = G⁻¹·rhs`` and ``v = G⁻¹C·x`` on ``system``'s factors.  With
-    ``rhs = Bu`` these are the step's final values and ``−m1``."""
-    x = system.solve_augmented(rhs)
-    return x, system.solve_augmented(np.asarray(system.C @ x).ravel())
-
-
-def _metrics(x_inf: np.ndarray, v1: np.ndarray, row: int):
-    """``(dc, m1, elmore_delay)`` at ``row`` from a :func:`_moment_pair`."""
+def _metrics(x_inf: np.ndarray, m1_vector: np.ndarray, row: int):
+    """``(dc, m1, elmore_delay)`` at ``row`` from ``moment_chain(Bu, 2)``."""
     dc = float(x_inf[row])
-    m1 = -float(v1[row])
+    m1 = float(m1_vector[row])
     if dc == 0.0:
         raise AnalysisError("output node sees no steady-state swing")
     return dc, m1, -m1 / dc

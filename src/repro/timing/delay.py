@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.core.model import AweWaveform
 from repro.errors import AnalysisError
 from repro.waveform import Waveform
 
@@ -38,7 +39,7 @@ class DelayReport:
 
 
 def measure_delay(
-    waveform: Waveform,
+    waveform: Waveform | AweWaveform,
     threshold: float | None = None,
     v_final: float | None = None,
 ) -> DelayReport:
@@ -46,31 +47,28 @@ def measure_delay(
 
     ``v_final`` overrides the settled value (pass the known steady state
     when the sampled window ends before full settling); ``threshold`` adds
-    a logic-threshold crossing to the report.
+    a logic-threshold crossing to the report.  On an AWE model the
+    crossings are the model's own, and the levels, monotonicity and
+    overshoot come from 4000 samples over its suggested window.
     """
-    v0 = waveform.initial
-    v1 = waveform.final if v_final is None else v_final
+    sampled = waveform.to_waveform(samples=4000) if isinstance(waveform, AweWaveform) else waveform
+    v0 = sampled.initial
+    v1 = sampled.final if v_final is None else v_final
     if v0 == v1:
         raise AnalysisError("no transition: initial and final values are equal")
-    rising = v1 > v0
-    half = waveform.threshold_delay(0.5 * (v0 + v1), rising=rising)
-    threshold_time = None
-    if threshold is not None:
-        threshold_time = waveform.threshold_delay(threshold, rising=rising)
-    low = v0 + 0.1 * (v1 - v0)
-    high = v0 + 0.9 * (v1 - v0)
-    slew = waveform.threshold_delay(high, rising=rising) - waveform.threshold_delay(
-        low, rising=rising
-    )
+
+    def crossing(level: float) -> float:
+        return waveform.threshold_delay(level, rising=v1 > v0)
+
     return DelayReport(
         node=waveform.name,
         v_initial=v0,
         v_final=v1,
-        delay_50=half,
-        threshold_delay=threshold_time,
-        slew_10_90=slew,
-        monotone=waveform.is_monotone(tolerance=1e-6),
-        overshoot=waveform.overshoot() if v0 != v1 else 0.0,
+        delay_50=crossing(0.5 * (v0 + v1)),
+        threshold_delay=None if threshold is None else crossing(threshold),
+        slew_10_90=crossing(v0 + 0.9 * (v1 - v0)) - crossing(v0 + 0.1 * (v1 - v0)),
+        monotone=sampled.is_monotone(tolerance=1e-6),
+        overshoot=sampled.overshoot(),
     )
 
 

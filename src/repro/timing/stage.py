@@ -23,8 +23,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable
 
-import numpy as np
-
 from repro.analysis.sources import Ramp, Step, Stimulus
 from repro.circuit.netlist import Circuit
 from repro.core.driver import AweAnalyzer, AweResponse
@@ -142,14 +140,9 @@ class Stage:
             response = analyzer.response(
                 receiver.node, order=self.order, error_target=self.error_target
             )
-            window = response.waveform.suggested_window()
-            window = max(window, input_event_time + (input_slew or 0.0) * 2.0)
-            times = np.linspace(0.0, window, 4000)
-            waveform = response.waveform.to_waveform(times)
             v0, v1 = (self.v_low, self.v_high) if self.rising else (self.v_high, self.v_low)
             threshold = v0 + receiver.threshold_fraction * (v1 - v0)
             reports[receiver.node] = measure_delay(
-                waveform, threshold=threshold, v_final=response.waveform.final_value()
-            )
+                response.waveform, threshold, response.waveform.final_value())
             responses[receiver.node] = response
         return StageResult(self.name, reports, responses)

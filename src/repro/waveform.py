@@ -110,18 +110,15 @@ class Waveform:
         several crossings.
         """
         v = self.values - level
-        crossings: list[float] = []
-        for i in range(len(v) - 1):
-            a, b = v[i], v[i + 1]
-            if a == 0.0:
-                direction = b > 0
-                if rising is None or rising == direction:
-                    crossings.append(float(self.times[i]))
-            if (a < 0 < b) or (b < 0 < a):
-                t_cross = self.times[i] + (self.times[i + 1] - self.times[i]) * (-a) / (b - a)
-                direction = b > a
-                if rising is None or rising == direction:
-                    crossings.append(float(t_cross))
+        a, b = v[:-1], v[1:]
+        hit = a == 0.0
+        through = ((a < 0) & (0 < b)) | ((b < 0) & (0 < a))
+        if rising is not None:
+            hit &= (b > 0) == rising
+            through &= (b > a) == rising
+        with np.errstate(all="ignore"):
+            t_cross = self.times[:-1] + np.diff(self.times) * (-a) / (b - a)
+        crossings = np.where(through, t_cross, self.times[:-1])[hit | through].tolist()
         if v[-1] == 0.0 and (rising is None):
             crossings.append(float(self.times[-1]))
         return crossings

@@ -245,6 +245,23 @@ class TestBatch:
         assert "FAILED [CircuitError]" in out
         assert "2 of 2 job(s) failed" in out
 
+    def test_failed_row_states_the_type_once(self, two_decks, capsys):
+        assert main(["batch", *two_decks, "--node", "zz"]) == 1
+        out = capsys.readouterr().out
+        assert "FAILED [CircuitError] unknown node 'zz'" in out
+        assert "repro.errors" not in out
+
+    def test_run_report_error_is_the_message_alone(self, two_decks, tmp_path,
+                                                    capsys):
+        import json
+
+        path = tmp_path / "report.json"
+        assert main(["report", two_decks[0], "--node", "zz",
+                     "--json", str(path)]) == 1
+        (job,) = json.loads(path.read_text())["jobs"]
+        assert job["error_type"] == "CircuitError"
+        assert job["error"] == "unknown node 'zz'"
+
 
 class TestAnalyzeAgainstServer:
     """`python -m repro analyze` against an in-process daemon."""

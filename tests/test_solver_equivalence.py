@@ -146,6 +146,26 @@ class TestEveryChainIsCounted:
         assert system.stats.moment_solves == 6
         assert system.stats.moments_computed == 6
 
+    def test_sweep_engine_base_and_source_pairs(self):
+        from repro.sweep import SweepEngine, SweepPlan, SweepPoint
+
+        engine = SweepEngine(rc_ladder(12), STIM)
+        assert engine.system.stats.moment_solves == 2
+        plan = SweepPlan(node="12", mode="rank1",
+                         points=(SweepPoint(element="Vin", scale=1.1),))
+        engine.evaluate(plan)
+        assert engine.system.stats.moment_solves == 4
+        assert engine.system.stats.moments_computed == 4
+
+    def test_delay_sensitivities_forward_pair(self):
+        from repro.core.sensitivity import delay_sensitivities
+
+        circuit = rc_ladder(12)
+        system = MnaSystem(circuit)
+        delay_sensitivities(circuit, "12", {"Vin": 5.0}, system=system)
+        assert system.stats.moment_solves == 2
+        assert system.stats.moments_computed == 2
+
 
 class TestSparseDenseSwitchover:
     def test_default_backend_threshold(self):

@@ -1,0 +1,138 @@
+"""Threshold crossings: the vectorized sampled scan and the AWE model's own
+first crossing (paper Sec. 5.3 and Fig. 2).
+
+:meth:`Waveform.crossings` must give, list for list, what the original
+per-sample loop (kept below as the reference) gave.
+:meth:`AweWaveform.threshold_delay` must find the first crossing of the
+closed-form model in the requested direction, however early in the
+window it falls, and keep first-crossing semantics on the paper's
+nonmonotone responses.
+"""
+
+import numpy as np
+import pytest
+from scipy.optimize import brentq
+
+from repro import AweAnalyzer, DC, Ramp, Step
+from repro.errors import AnalysisError
+from repro.papercircuits import fig16_stiff_rc_tree, fig25_rlc_ladder, random_rc_tree
+from repro.waveform import Waveform
+
+
+def reference_crossings(waveform, level, rising=None):
+    """The per-sample loop ``Waveform.crossings`` was before it became a
+    numpy scan."""
+    v = waveform.values - level
+    crossings = []
+    for i in range(len(v) - 1):
+        a, b = v[i], v[i + 1]
+        if a == 0.0:
+            direction = b > 0
+            if rising is None or rising == direction:
+                crossings.append(float(waveform.times[i]))
+        if (a < 0 < b) or (b < 0 < a):
+            t_cross = waveform.times[i] + (waveform.times[i + 1] - waveform.times[i]) * (-a) / (b - a)
+            direction = b > a
+            if rising is None or rising == direction:
+                crossings.append(float(t_cross))
+    if v[-1] == 0.0 and (rising is None):
+        crossings.append(float(waveform.times[-1]))
+    return crossings
+
+
+class TestSampledScan:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_loop_list_for_list(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        times = np.cumsum(rng.uniform(0.1, 2.0, n))
+        # Few distinct levels: exact-on-sample hits and flat runs are common.
+        values = rng.integers(-2, 3, n).astype(float)
+        if seed % 4 == 0:
+            values += rng.normal(0.0, 0.3, n)
+        if seed % 3 == 0:
+            values[-1] = 0.0
+        waveform = Waveform(times, values)
+        for level in (0.0, 0.5, 1.0, float(values[0])):
+            for rising in (None, True, False):
+                assert waveform.crossings(level, rising) == reference_crossings(
+                    waveform, level, rising
+                ), (level, rising)
+
+    def test_smooth_waveform_matches_the_loop(self):
+        t = np.linspace(0.0, 20e-9, 4000)
+        waveform = Waveform(t, 5.0 - 5.0 * np.exp(-t / 1e-9) * np.cos(2e9 * t))
+        for level in (2.5, 5.0, 6.0):
+            for rising in (None, True, False):
+                assert waveform.crossings(level, rising) == reference_crossings(
+                    waveform, level, rising
+                )
+
+
+def step_response(circuit, node, stimuli=None, order=None):
+    stimuli = {"Vin": Step(0.0, 1.0)} if stimuli is None else stimuli
+    return AweAnalyzer(circuit, stimuli).response(node, order=order)
+
+
+class TestModelCrossing:
+    def test_early_crossing_is_not_read_off_a_coarse_grid(self):
+        # The window follows the slowest pole (~89 ns) while node 6 crosses
+        # 10 % after ~1.2 ps: a 4000-point grid read 6.06 ps here.
+        response = step_response(random_rc_tree(40, seed=15), "6")
+        level = 0.1 * response.waveform.final_value()
+        delay = response.delay(level)
+        assert delay == pytest.approx(1.174e-12, rel=1e-3)
+        root = brentq(lambda t: float(response.waveform.evaluate(t)) - level,
+                      0.0, 1e-11, xtol=1e-27)
+        assert delay == pytest.approx(root, rel=1e-6)
+
+    def test_delay_50_is_the_half_swing_crossing(self, single_rc):
+        response = step_response(single_rc, "1")
+        assert response.delay_50() == pytest.approx(1e-9 * np.log(2), rel=1e-9)
+
+    def test_never_crossing_raises(self, single_rc):
+        response = step_response(single_rc, "1")
+        with pytest.raises(AnalysisError, match="never crosses"):
+            response.delay(2.0)
+        with pytest.raises(AnalysisError, match="never crosses"):
+            response.waveform.threshold_delay(0.5, rising=False)
+
+
+def _nonmonotone_cases():
+    shared = fig16_stiff_rc_tree(sharing_voltage=5.0)
+    rlc = fig25_rlc_ladder()
+    ramp = Ramp(0.0, 5.0, rise_time=1e-9)
+    return {
+        "fig20_redistribution": (shared, {"Vin": DC(0.0)}, "7", 2,
+                                 (0.2, 0.4, 0.8)),
+        "fig21_ramp_with_ic": (shared, {"Vin": ramp}, "7", 2,
+                               (0.5, 0.85, 2.5)),
+        "fig26_rlc_step": (rlc, {"Vin": Step(0.0, 5.0)}, "3", 4,
+                           (2.5, 5.0, 6.0, 0.0)),
+        "fig27_rlc_ramp": (rlc, {"Vin": ramp}, "3", 2, (2.5, 5.0, 6.0)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_nonmonotone_cases()))
+def test_first_crossing_against_a_dense_grid(case):
+    """Charge sharing (Figs. 20–21) and RLC ringing (Figs. 26–27) cross
+    most levels more than once; each direction's first crossing must
+    agree with a 10⁶-point grid of the same model to one grid step."""
+    circuit, stimuli, node, order, levels = _nonmonotone_cases()[case]
+    waveform = AweAnalyzer(circuit, stimuli).response(node, order=order).waveform
+    window = waveform.suggested_window()
+    times = np.linspace(0.0, window, 10**6)
+    dense = Waveform(times, waveform.evaluate(times))
+    step = times[1]
+    several = 0
+    for level in levels:
+        for rising in (None, True, False):
+            expected = dense.crossings(level, rising)
+            several += len(expected) > 1
+            if not expected:
+                with pytest.raises(AnalysisError):
+                    waveform.threshold_delay(level, rising)
+                continue
+            got = waveform.threshold_delay(level, rising)
+            assert abs(got - expected[0]) <= step, (level, rising)
+    assert several > 0
