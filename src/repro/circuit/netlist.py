@@ -47,7 +47,6 @@ class Circuit:
         self._elements: dict[str, Element] = {}
         self._node_index: dict[str, int] = {}
         self._couplings: dict[str, "MutualInductance"] = {}
-        self._frozen = False
 
     # ------------------------------------------------------------------
     # Container protocol
@@ -83,7 +82,6 @@ class Circuit:
 
         Raises :class:`~repro.errors.CircuitError` on a duplicate name.
         """
-        self._ensure_mutable()
         if element.name in self._elements:
             raise CircuitError(f"duplicate element name {element.name!r}")
         self._register_node(element.positive)
@@ -170,7 +168,6 @@ class Circuit:
         (|k| < 1; M = k·√(L_a·L_b))."""
         from repro.circuit.elements import Inductor, MutualInductance
 
-        self._ensure_mutable()
         if name in self._elements or name in self._couplings:
             raise CircuitError(f"duplicate element name {name!r}")
         for inductor_name in (inductor_a, inductor_b):
@@ -268,7 +265,6 @@ class Circuit:
 
     def replace(self, element: Element) -> None:
         """Replace the same-named element in place (order preserved)."""
-        self._ensure_mutable()
         if element.name not in self._elements:
             raise CircuitError(f"cannot replace unknown element {element.name!r}")
         old = self._elements[element.name]
@@ -293,47 +289,11 @@ class Circuit:
         self.replace(element.with_initial_current(current))
 
     def copy(self, title: str | None = None) -> "Circuit":
-        """A shallow copy (elements are immutable, so sharing them is safe).
-
-        The copy is always mutable, even when the source is frozen — it is
-        the sanctioned way to derive a perturbed variant of a shared
-        (memoized) circuit.
-        """
+        """A shallow copy (elements are immutable, so sharing them is safe)."""
         duplicate = Circuit(self.title if title is None else title)
         duplicate.extend(self._elements.values())
         duplicate._couplings = dict(self._couplings)
         return duplicate
-
-    # ------------------------------------------------------------------
-    # Freezing (shared-circuit safety)
-    # ------------------------------------------------------------------
-
-    def freeze(self) -> "Circuit":
-        """Permanently reject further mutation of this circuit.
-
-        Caches that hand one :class:`Circuit` object to many consumers
-        (:class:`repro.reduce.ReductionMemo`, analyzer reuse in the batch
-        engine) rely on the object never changing after it is shared; a
-        downstream ``replace()`` would silently corrupt every other
-        holder's results *and* the content key the cache stored it under.
-        Freezing turns that corruption into an immediate
-        :class:`~repro.errors.CircuitError`; use :meth:`copy` to derive a
-        mutable variant.  Returns ``self`` for chaining.
-        """
-        self._frozen = True
-        return self
-
-    @property
-    def frozen(self) -> bool:
-        """True once :meth:`freeze` has been called."""
-        return self._frozen
-
-    def _ensure_mutable(self) -> None:
-        if self._frozen:
-            raise CircuitError(
-                f"circuit {self.title!r} is frozen (shared via a cache); "
-                "use copy() to derive a mutable variant"
-            )
 
     def canonical_key(self, stimuli=None) -> str:
         """Content hash of the circuit (and optional source stimuli).

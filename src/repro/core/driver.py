@@ -96,8 +96,6 @@ class ComponentApproximation:
     order: int
     poles: np.ndarray
     error_estimate: float | None
-    condition_number: float
-    scale: float
     escalations: tuple[str, ...]
 
 
@@ -504,9 +502,7 @@ class AweAnalyzer:
             )
             info = ComponentApproximation(
                 label=sub.label, order=q, poles=model.poles,
-                error_estimate=estimate,
-                condition_number=model_condition(sequence, q, use_scaling),
-                scale=0.0, escalations=tuple(escalations),
+                error_estimate=estimate, escalations=tuple(escalations),
             )
             return model, info
 
@@ -734,14 +730,6 @@ def _reproduces_higher_moments(
         if abs(predicted.real - actual) > rtol * max(abs(actual), 1e-30):
             return False
     return True
-
-
-def model_condition(sequence, q, use_scaling) -> float:
-    """Condition number of the Hankel system actually solved (diagnostic)."""
-    try:
-        return match_poles(sequence[: 2 * q], q, use_scaling=use_scaling).condition_number
-    except (MomentMatrixError, ApproximationError):
-        return float("inf")
 
 
 def _is_negligible(y0: np.ndarray, *references: np.ndarray) -> bool:

@@ -155,6 +155,9 @@ def _deadline(seconds: float | None):
     deadline for the rest of its group).  An outer budget that expired
     while the inner block ran is re-armed with a minimal delay so it
     still fires promptly.
+
+    A timeout the block swallows (the signal can land inside a callback
+    that catches every exception) is raised again on exit.
     """
     usable = (
         seconds is not None
@@ -166,8 +169,13 @@ def _deadline(seconds: float | None):
         yield
         return
 
+    message = f"job exceeded its {seconds:g} s timeout"
+    fired = False
+
     def _expired(signum, frame):
-        raise BatchTimeoutError(f"job exceeded its {seconds:g} s timeout")
+        nonlocal fired
+        fired = True
+        raise BatchTimeoutError(message)
 
     previous = signal.signal(signal.SIGALRM, _expired)
     outer_remaining, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
@@ -185,6 +193,8 @@ def _deadline(seconds: float | None):
             signal.setitimer(
                 signal.ITIMER_REAL, max(outer_remaining - elapsed, 1e-6)
             )
+    if fired:
+        raise BatchTimeoutError(message)
 
 
 def _execute_group(circuit, entries, timeout, trace=False, attempt=0):

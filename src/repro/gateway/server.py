@@ -257,6 +257,12 @@ class GatewayService(ServerCore):
                 # join them.  Joins bypass drain refusal (the work already
                 # exists) and shed-load (they add no shard load).
                 self._counters["coalesced_requests"] += 1
+            elif (cached := self.cache.memory_hit(key)) is not None:
+                # Our cache lookup missed just before the key's leader
+                # finished: its flight is gone, and the body it wrote
+                # through answers us (memory only, under the lock).
+                self._counters["requests_ok"] += 1
+                return 200, cached, self._headers(key, "hit", started)
             elif self.draining:
                 self._counters["rejected_draining"] += 1
                 return 503, error_body(

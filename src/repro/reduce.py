@@ -57,9 +57,7 @@ hash) is preserved exactly for no-op reductions.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
-import threading
 
 from repro.circuit.elements import (
     CCVS,
@@ -278,104 +276,4 @@ def reduction_summary(reduction: Reduction) -> dict:
     }
 
 
-class ReductionMemo:
-    """Bounded LRU of reduced circuits, keyed by *content* not identity.
-
-    The batch engine already shares one reduction across jobs on the same
-    circuit **object**, but the service path re-parses every request into
-    a fresh :class:`~repro.circuit.netlist.Circuit` — so a timing loop
-    resubmitting one big topology re-paid the pure-Python chain-collapse
-    pre-pass on every miss of the *result* cache (a different
-    ``error_target`` is a different report but the identical reduction).
-    This memo closes that gap: entries are keyed by
-    ``(Circuit.canonical_key(), sorted keep nodes, max_section)``, so any
-    deck that parses to the same elements and values reuses the reduced
-    circuit, whatever its textual spelling.
-
-    Returning a shared :class:`Circuit` is safe because circuits are
-    never mutated by analysis (the engine's identity grouping relies on
-    the same property); sharing even *improves* analyzer reuse across
-    worker threads.  To keep that invariant enforceable now that the
-    sweep engine derives *perturbed* variants downstream, every stored
-    circuit is :meth:`~repro.circuit.netlist.Circuit.freeze`-d — and a
-    no-op reduction is stored as a frozen **copy** rather than the
-    caller's own object, so the memo never freezes (or aliases) an
-    object it does not own.  Consumers that need to perturb a memo hit
-    must go through ``Circuit.copy()``; a stray ``replace()`` on the hit
-    raises instead of corrupting every other holder's results.  The memo
-    is thread-safe and bounded by entry count (reduced circuits are
-    small — the point of reducing them).
-    """
-
-    def __init__(self, max_entries: int = 64):
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries!r}")
-        self.max_entries = int(max_entries)
-        self._entries: "collections.OrderedDict[tuple, Circuit]" = (
-            collections.OrderedDict())
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-
-    def reduce(self, circuit: Circuit, keep: tuple = (),
-               max_section: int = _SECTION_NODES) -> Circuit:
-        """Memoized :func:`reduce_circuit` returning just the circuit.
-
-        The canonical key is computed outside the lock (it is the
-        expensive part of a hit); a concurrent duplicate miss may reduce
-        twice but both threads then agree on one stored entry.
-        """
-        keep = tuple(sorted(keep))
-        key = (circuit.canonical_key(), keep, int(max_section))
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                return cached
-        reduced = reduce_circuit(circuit, keep=keep,
-                                 max_section=max_section).circuit
-        if reduced is circuit:
-            # No-op reduction: never store (and freeze) the caller's own
-            # object — a later mutation of it would corrupt the cache.
-            reduced = circuit.copy()
-        reduced.freeze()
-        with self._lock:
-            self._misses += 1
-            existing = self._entries.get(key)
-            if existing is not None:
-                self._entries.move_to_end(key)
-                return existing
-            self._entries[key] = reduced
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-        return reduced
-
-    def stats(self) -> dict:
-        """Counter snapshot (feeds the service's ``/metrics``)."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "max_entries": self.max_entries,
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-            }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-#: The process-wide memo the service path consults (tests may clear it).
-REDUCTION_MEMO = ReductionMemo()
-
-
-__all__ = ["REDUCTION_MEMO", "Reduction", "ReductionMemo", "reduce_circuit",
-           "reduction_summary"]
+__all__ = ["Reduction", "reduce_circuit", "reduction_summary"]

@@ -8,14 +8,13 @@ functions from the command line.  The document schema is described in
 """
 
 from repro.report.build import (
-    PHASE_ORDER,
     REPORT_SCHEMA,
     build_report,
     job_record,
     response_record,
     validate_report,
 )
-from repro.report.render import render_markdown
+from repro.report.render import PHASE_ORDER, render_markdown
 from repro.report.sta import (
     STA_REPORT_SCHEMA,
     build_sta_report,

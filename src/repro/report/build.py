@@ -11,26 +11,22 @@ residues each response ended up with, and the full order-escalation
 trajectory with its error estimates.
 
 The document shape is versioned by :data:`REPORT_SCHEMA` and enforced by
-:func:`validate_report` (a hand-rolled structural check — no external
-schema library).  The field-by-field description lives in
-``docs/observability.md``.
+:func:`validate_report`, which walks the field spec below with the
+checker every report kind shares (:mod:`repro.report.schema`).  The
+field-by-field description lives in ``docs/observability.md``.
 """
 
 from __future__ import annotations
 
 from repro.errors import ApproximationError, ReproError
-from repro.trace import iter_events, phase_seconds
+from repro.report.schema import (
+    BOOL, COUNT, NUMBER, NUMBER_OR_NULL, SECONDS, STRING, STRING_OR_NULL,
+    TRACE_TAIL, ListOf, MapOf, Optional, check, header, header_spec, items,
+    trace_tail,
+)
 
 #: Version tag stamped into (and required from) every report document.
 REPORT_SCHEMA = "repro.run-report/1"
-
-#: Phases the Markdown renderer orders first; anything else (custom span
-#: names, the root's own time as ``other``) follows alphabetically.
-PHASE_ORDER = (
-    "parse", "mna_assembly", "lu", "operating_points", "t0_lu",
-    "moment_recursion", "response", "pade_escalation", "pade", "residues",
-    "waveform", "other",
-)
 
 
 def _complex_record(value) -> dict:
@@ -107,14 +103,6 @@ def job_record(result, parse_s: float | None = None,
                threshold: float | None = None,
                include_trace: bool = False) -> dict:
     """One :class:`~repro.engine.batch.BatchResult` as a report entry."""
-    phases = phase_seconds(result.trace)
-    if result.trace is not None:
-        # The root span's own (exclusive) time is inter-phase overhead.
-        root_name = result.trace.get("name")
-        if root_name in phases:
-            phases["other"] = phases.pop(root_name)
-    if parse_s is not None:
-        phases["parse"] = float(parse_s)
     record: dict = {
         "index": int(result.index),
         "label": result.label,
@@ -126,12 +114,7 @@ def job_record(result, parse_s: float | None = None,
             response_record(node, response, threshold)
             for node, response in (result.responses or {}).items()
         ],
-        "phase_seconds": {name: float(s) for name, s in phases.items()},
-        "events": [
-            {"span": span_name, **event}
-            for span_name, event in iter_events(result.trace)
-        ],
-        "traced": result.trace is not None,
+        **trace_tail(result.trace, parse_s),
     }
     if include_trace:
         record["trace"] = result.trace
@@ -166,8 +149,6 @@ def build_report(
     include_traces:
         Embed each job's full trace record (can be large).
     """
-    from repro import __version__
-
     results = list(results)
     parse_seconds = parse_seconds or {}
     jobs = [
@@ -193,9 +174,7 @@ def build_report(
     )
 
     document = {
-        "schema": REPORT_SCHEMA,
-        "generator": f"repro {__version__}",
-        "kind": "analysis" if len(jobs) == 1 else "batch",
+        **header(REPORT_SCHEMA, "analysis" if len(jobs) == 1 else "batch"),
         "jobs": jobs,
         "totals": {
             "jobs": len(jobs),
@@ -212,11 +191,74 @@ def build_report(
     return document
 
 
-# ----------------------------------------------------------------------
-# Structural validation (the "schema check")
-# ----------------------------------------------------------------------
+_COMPLEX = {"re": NUMBER, "im": NUMBER}
 
-_NUMBER = (int, float)
+_RESPONSE = {
+    "node": STRING,
+    "order": COUNT,
+    "error_estimate": NUMBER_OR_NULL,
+    "poles": ListOf(_COMPLEX),
+    "terms": ListOf({"model": STRING, "t0_s": NUMBER, "pole": _COMPLEX,
+                     "power": COUNT, "residue": _COMPLEX}),
+    "components": ListOf({"label": STRING, "order": COUNT,
+                          "error_estimate": NUMBER_OR_NULL,
+                          "escalations": ListOf(STRING)}),
+    "final_value": NUMBER_OR_NULL,
+    "delay_50_s": NUMBER_OR_NULL,
+    "delay_threshold_s": Optional(NUMBER_OR_NULL),
+}
+
+_SPEC = {
+    **header_spec(REPORT_SCHEMA, "analysis", "batch"),
+    "title": Optional(STRING),
+    "jobs": ListOf({
+        "index": COUNT,
+        "label": STRING,
+        "ok": BOOL,
+        "error": STRING_OR_NULL,
+        "error_type": STRING_OR_NULL,
+        "elapsed_s": SECONDS,
+        "responses": ListOf(_RESPONSE),
+        **TRACE_TAIL,
+    }, nonempty=True),
+    "totals": {
+        "jobs": COUNT,
+        "jobs_failed": COUNT,
+        "wall_time_s": SECONDS,
+        "phase_seconds": MapOf(SECONDS),
+        "counters": MapOf(NUMBER),
+        "batching_factor": NUMBER_OR_NULL,
+        "order_escalations_traced": COUNT,
+    },
+}
+
+
+def _rules(document: dict, need) -> None:
+    for j, job in enumerate(items(document, "jobs")):
+        if not isinstance(job, dict):
+            continue
+        path = f"$.jobs[{j}]"
+        if job.get("ok"):
+            need(items(job, "responses"), f"{path}.responses",
+                 "a successful job must carry at least one response")
+            need(job.get("error") is None, f"{path}.error",
+                 "must be null on success")
+        else:
+            need(isinstance(job.get("error"), str), f"{path}.error",
+                 "must describe the failure")
+            need(isinstance(job.get("error_type"), str), f"{path}.error_type",
+                 "must name the exception type")
+        for e, event in enumerate(items(job, "events")):
+            if isinstance(event, dict) and event.get("name") == "order_escalation":
+                data = event.get("data")
+                need(isinstance(data, dict) and all(
+                    key in data for key in ("order", "reason", "error_estimate")),
+                    f"{path}.events[{e}].data",
+                    "order_escalation needs order/reason/error_estimate")
+    totals = document.get("totals")
+    if isinstance(totals, dict) and isinstance(document.get("jobs"), list):
+        need(totals.get("jobs") == len(document["jobs"]), "$.totals.jobs",
+             "must equal the number of job entries")
 
 
 def validate_report(document) -> dict:
@@ -226,117 +268,4 @@ def validate_report(document) -> dict:
     returns the document unchanged when it is valid.  This is the check
     the CLI runs before writing and the tests run on what it wrote.
     """
-    problems: list[str] = []
-
-    def need(condition, path, message):
-        if not condition:
-            problems.append(f"{path}: {message}")
-        return condition
-
-    def number_or_none(container, path, name):
-        v = container.get(name)
-        need(v is None or (isinstance(v, _NUMBER) and not isinstance(v, bool)),
-             f"{path}.{name}", "must be a number or null")
-
-    if not need(isinstance(document, dict), "$", "report must be an object"):
-        raise ValueError("invalid run report:\n  " + "\n  ".join(problems))
-    need(document.get("schema") == REPORT_SCHEMA, "$.schema",
-         f"must be {REPORT_SCHEMA!r}, got {document.get('schema')!r}")
-    need(isinstance(document.get("generator"), str), "$.generator",
-         "must be a string")
-    need(document.get("kind") in ("analysis", "batch"), "$.kind",
-         "must be 'analysis' or 'batch'")
-
-    jobs = document.get("jobs")
-    if need(isinstance(jobs, list) and jobs, "$.jobs", "must be a non-empty list"):
-        for j, job in enumerate(jobs):
-            path = f"$.jobs[{j}]"
-            if not need(isinstance(job, dict), path, "must be an object"):
-                continue
-            need(isinstance(job.get("index"), int), f"{path}.index", "must be an int")
-            need(isinstance(job.get("label"), str), f"{path}.label", "must be a string")
-            need(isinstance(job.get("ok"), bool), f"{path}.ok", "must be a bool")
-            need(isinstance(job.get("elapsed_s"), _NUMBER), f"{path}.elapsed_s",
-                 "must be a number")
-            need(isinstance(job.get("traced"), bool), f"{path}.traced", "must be a bool")
-            responses = job.get("responses")
-            if not need(isinstance(responses, list), f"{path}.responses",
-                        "must be a list"):
-                responses = []
-            if job.get("ok"):
-                need(bool(responses), f"{path}.responses",
-                     "a successful job must carry at least one response")
-                need(job.get("error") is None, f"{path}.error",
-                     "must be null on success")
-            else:
-                need(isinstance(job.get("error"), str), f"{path}.error",
-                     "must describe the failure")
-                need(isinstance(job.get("error_type"), str), f"{path}.error_type",
-                     "must name the exception type")
-            for r, response in enumerate(responses):
-                rpath = f"{path}.responses[{r}]"
-                if not need(isinstance(response, dict), rpath, "must be an object"):
-                    continue
-                need(isinstance(response.get("node"), str), f"{rpath}.node",
-                     "must be a string")
-                need(isinstance(response.get("order"), int)
-                     and response.get("order", -1) >= 0,
-                     f"{rpath}.order", "must be a non-negative int")
-                number_or_none(response, rpath, "error_estimate")
-                number_or_none(response, rpath, "final_value")
-                for listname, fields in (("poles", ("re", "im")),
-                                         ("terms", ("pole", "power", "residue"))):
-                    items = response.get(listname)
-                    if not need(isinstance(items, list), f"{rpath}.{listname}",
-                                "must be a list"):
-                        continue
-                    for i, item in enumerate(items):
-                        need(isinstance(item, dict)
-                             and all(field in item for field in fields),
-                             f"{rpath}.{listname}[{i}]",
-                             f"must be an object with {fields}")
-                need(isinstance(response.get("components"), list),
-                     f"{rpath}.components", "must be a list")
-            phases = job.get("phase_seconds")
-            if need(isinstance(phases, dict), f"{path}.phase_seconds",
-                    "must be an object"):
-                for name, seconds in phases.items():
-                    need(isinstance(seconds, _NUMBER) and seconds >= 0.0,
-                         f"{path}.phase_seconds[{name!r}]",
-                         "must be a non-negative number")
-            events = job.get("events")
-            if need(isinstance(events, list), f"{path}.events", "must be a list"):
-                for e, event in enumerate(events):
-                    epath = f"{path}.events[{e}]"
-                    if not need(isinstance(event, dict), epath, "must be an object"):
-                        continue
-                    need(isinstance(event.get("name"), str), f"{epath}.name",
-                         "must be a string")
-                    need(isinstance(event.get("span"), str), f"{epath}.span",
-                         "must name the owning span")
-                    need(isinstance(event.get("t_s"), _NUMBER), f"{epath}.t_s",
-                         "must be a number")
-                    need(isinstance(event.get("data"), dict), f"{epath}.data",
-                         "must be an object")
-                    if event.get("name") == "order_escalation":
-                        data = event.get("data") or {}
-                        need("order" in data and "reason" in data
-                             and "error_estimate" in data,
-                             f"{epath}.data",
-                             "order_escalation needs order/reason/error_estimate")
-
-    totals = document.get("totals")
-    if need(isinstance(totals, dict), "$.totals", "must be an object"):
-        need(totals.get("jobs") == len(jobs or []), "$.totals.jobs",
-             "must equal the number of job entries")
-        need(isinstance(totals.get("jobs_failed"), int), "$.totals.jobs_failed",
-             "must be an int")
-        need(isinstance(totals.get("phase_seconds"), dict),
-             "$.totals.phase_seconds", "must be an object")
-        need(isinstance(totals.get("counters"), dict), "$.totals.counters",
-             "must be an object")
-        number_or_none(totals, "$.totals", "batching_factor")
-
-    if problems:
-        raise ValueError("invalid run report:\n  " + "\n  ".join(problems))
-    return document
+    return check(document, _SPEC, _rules, "run")

@@ -2,22 +2,24 @@
 
 Mirrors :mod:`repro.report.build` for the STA pipeline: an
 :class:`~repro.sta.engine.StaRun` (plus an optional trace record) turns
-into one JSON-ready document, a hand-rolled structural validator guards
-the schema, and a Markdown renderer produces the human-facing tables.
-Unconstrained quantities (``±inf`` arrivals/slacks — endpoints no launch
-point reaches) serialise as ``null``.
+into one JSON-ready document in the shared envelope, the shared checker
+walks its field spec, and a Markdown renderer produces the human-facing
+tables.  Unconstrained quantities (``±inf`` arrivals/slacks — endpoints
+no launch point reaches) serialise as ``null``.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.trace import iter_events, phase_seconds
+from repro.report.render import phase_table, picoseconds, table
+from repro.report.schema import (
+    COUNT, INT, NAME, NUMBER, NUMBER_OR_NULL, STRING, TRACE_TAIL, ListOf,
+    check, header, header_spec, items, one_of, trace_tail,
+)
 
 #: Version tag stamped into (and required from) every STA report.
 STA_REPORT_SCHEMA = "repro.sta-report/1"
-
-_NUMBER = (int, float)
 
 
 def _finite_or_none(value: float) -> float | None:
@@ -67,9 +69,7 @@ def _corner_record(analysis) -> dict:
 
 
 def build_sta_report(run, trace: dict | None = None,
-                     parse_s: float | None = None,
-                     title: str | None = None,
-                     include_trace: bool = False) -> dict:
+                     parse_s: float | None = None) -> dict:
     """Assemble the versioned STA report document.
 
     Parameters
@@ -82,43 +82,65 @@ def build_sta_report(run, trace: dict | None = None,
         times and events are folded in like the run-report does.
     parse_s:
         Optional front-end parse time, merged into the phase table.
-    title:
-        Optional human title.
-    include_trace:
-        Embed the full trace record (can be large).
     """
-    from repro import __version__
-
-    phases = phase_seconds(trace)
-    if trace is not None:
-        root_name = trace.get("name")
-        if root_name in phases:
-            phases["other"] = phases.pop(root_name)
-    if parse_s is not None:
-        phases["parse"] = float(parse_s)
-
     worst = run.worst_slack
-    document = {
-        "schema": STA_REPORT_SCHEMA,
-        "generator": f"repro {__version__}",
-        "kind": "sta",
+    return {
+        **header(STA_REPORT_SCHEMA, "sta"),
         "design": run.design.name,
         "interconnect": run.interconnect,
         "k": int(run.k),
         "worst_slack_s": None if worst is None else float(worst),
         "corners": [_corner_record(analysis) for analysis in run.corners],
-        "phase_seconds": {name: float(s) for name, s in phases.items()},
-        "events": [
-            {"span": span_name, **event}
-            for span_name, event in iter_events(trace)
-        ],
-        "traced": trace is not None,
+        **trace_tail(trace, parse_s),
     }
-    if title:
-        document["title"] = title
-    if include_trace:
-        document["trace"] = trace
-    return document
+
+
+_PATH = {
+    "rank": INT,
+    "endpoint": STRING,
+    "start": STRING,
+    "slack_s": NUMBER,
+    "arrival_s": NUMBER,
+    "required_s": NUMBER,
+    "nodes": ListOf(STRING, nonempty=True),
+    "edges": ListOf({"src": STRING, "dst": STRING, "kind": STRING,
+                     "label": STRING, "delay_s": NUMBER}),
+}
+
+_SPEC = {
+    **header_spec(STA_REPORT_SCHEMA, "sta"),
+    "design": STRING,
+    "interconnect": one_of("awe", "elmore"),
+    "k": COUNT,
+    "worst_slack_s": NUMBER_OR_NULL,
+    "corners": ListOf({
+        "name": NAME,
+        "factors": {"wire_r": NUMBER, "wire_c": NUMBER, "cell": NUMBER},
+        "nodes": COUNT,
+        "edges": COUNT,
+        "worst_slack_s": NUMBER_OR_NULL,
+        "endpoints": ListOf({"endpoint": STRING, "arrival_s": NUMBER_OR_NULL,
+                             "required_s": NUMBER, "slack_s": NUMBER_OR_NULL},
+                            nonempty=True),
+        "paths": ListOf(_PATH),
+    }, nonempty=True),
+    **TRACE_TAIL,
+}
+
+
+def _rules(document: dict, need) -> None:
+    for c, corner in enumerate(items(document, "corners")):
+        for p, entry in enumerate(items(corner, "paths")):
+            if not isinstance(entry, dict):
+                continue
+            path = f"$.corners[{c}].paths[{p}]"
+            need(entry.get("rank") == p + 1, f"{path}.rank",
+                 f"must be {p + 1} (1-based, dense)")
+            nodes, edges = entry.get("nodes"), entry.get("edges")
+            if isinstance(edges, list):
+                need(isinstance(nodes, list)
+                     and len(edges) == max(0, len(nodes) - 1),
+                     f"{path}.edges", "must have exactly len(nodes) - 1 entries")
 
 
 def validate_sta_report(document) -> dict:
@@ -127,182 +149,38 @@ def validate_sta_report(document) -> dict:
     Raises :class:`ValueError` listing every structural problem found;
     returns the document unchanged when valid.
     """
-    problems: list[str] = []
-
-    def need(condition, path, message):
-        if not condition:
-            problems.append(f"{path}: {message}")
-        return condition
-
-    def number_or_none(container, path, name):
-        v = container.get(name)
-        need(v is None or (isinstance(v, _NUMBER) and not isinstance(v, bool)),
-             f"{path}.{name}", "must be a number or null")
-
-    def number(container, path, name):
-        v = container.get(name)
-        need(isinstance(v, _NUMBER) and not isinstance(v, bool),
-             f"{path}.{name}", "must be a number")
-
-    if not need(isinstance(document, dict), "$", "report must be an object"):
-        raise ValueError("invalid STA report:\n  " + "\n  ".join(problems))
-    need(document.get("schema") == STA_REPORT_SCHEMA, "$.schema",
-         f"must be {STA_REPORT_SCHEMA!r}, got {document.get('schema')!r}")
-    need(isinstance(document.get("generator"), str), "$.generator",
-         "must be a string")
-    need(document.get("kind") == "sta", "$.kind", "must be 'sta'")
-    need(isinstance(document.get("design"), str), "$.design",
-         "must be a string")
-    need(document.get("interconnect") in ("awe", "elmore"), "$.interconnect",
-         "must be 'awe' or 'elmore'")
-    need(isinstance(document.get("k"), int)
-         and not isinstance(document.get("k"), bool)
-         and document.get("k") >= 0, "$.k", "must be a non-negative int")
-    number_or_none(document, "$", "worst_slack_s")
-    need(isinstance(document.get("traced"), bool), "$.traced",
-         "must be a bool")
-    phases = document.get("phase_seconds")
-    if need(isinstance(phases, dict), "$.phase_seconds", "must be an object"):
-        for name, seconds in phases.items():
-            need(isinstance(seconds, _NUMBER) and not isinstance(seconds, bool),
-                 f"$.phase_seconds[{name!r}]", "must be a number")
-    need(isinstance(document.get("events"), list), "$.events",
-         "must be a list")
-
-    corners = document.get("corners")
-    if need(isinstance(corners, list) and corners, "$.corners",
-            "must be a non-empty list"):
-        for c, corner in enumerate(corners):
-            path = f"$.corners[{c}]"
-            if not need(isinstance(corner, dict), path, "must be an object"):
-                continue
-            need(isinstance(corner.get("name"), str) and corner.get("name"),
-                 f"{path}.name", "must be a non-empty string")
-            factors = corner.get("factors")
-            if need(isinstance(factors, dict), f"{path}.factors",
-                    "must be an object"):
-                for field in ("wire_r", "wire_c", "cell"):
-                    number(factors, f"{path}.factors", field)
-            for field in ("nodes", "edges"):
-                need(isinstance(corner.get(field), int),
-                     f"{path}.{field}", "must be an int")
-            number_or_none(corner, path, "worst_slack_s")
-            endpoints = corner.get("endpoints")
-            if need(isinstance(endpoints, list) and endpoints,
-                    f"{path}.endpoints", "must be a non-empty list"):
-                for e, endpoint in enumerate(endpoints):
-                    epath = f"{path}.endpoints[{e}]"
-                    if not need(isinstance(endpoint, dict), epath,
-                                "must be an object"):
-                        continue
-                    need(isinstance(endpoint.get("endpoint"), str),
-                         f"{epath}.endpoint", "must be a string")
-                    number_or_none(endpoint, epath, "arrival_s")
-                    number(endpoint, epath, "required_s")
-                    number_or_none(endpoint, epath, "slack_s")
-            paths = corner.get("paths")
-            if not need(isinstance(paths, list), f"{path}.paths",
-                        "must be a list"):
-                continue
-            for p, entry in enumerate(paths):
-                ppath = f"{path}.paths[{p}]"
-                if not need(isinstance(entry, dict), ppath,
-                            "must be an object"):
-                    continue
-                need(entry.get("rank") == p + 1, f"{ppath}.rank",
-                     f"must be {p + 1} (1-based, dense)")
-                for field in ("endpoint", "start"):
-                    need(isinstance(entry.get(field), str), f"{ppath}.{field}",
-                         "must be a string")
-                for field in ("slack_s", "arrival_s", "required_s"):
-                    number(entry, ppath, field)
-                nodes = entry.get("nodes")
-                need(isinstance(nodes, list) and len(nodes) >= 1
-                     and all(isinstance(n, str) for n in nodes),
-                     f"{ppath}.nodes", "must be a non-empty string list")
-                edges = entry.get("edges")
-                if need(isinstance(edges, list), f"{ppath}.edges",
-                        "must be a list"):
-                    need(isinstance(nodes, list)
-                         and len(edges) == max(0, len(nodes) - 1),
-                         f"{ppath}.edges",
-                         "must have exactly len(nodes) - 1 entries")
-                    for g, edge in enumerate(edges):
-                        gpath = f"{ppath}.edges[{g}]"
-                        if not need(isinstance(edge, dict), gpath,
-                                    "must be an object"):
-                            continue
-                        for field in ("src", "dst", "kind", "label"):
-                            need(isinstance(edge.get(field), str),
-                                 f"{gpath}.{field}", "must be a string")
-                        number(edge, gpath, "delay_s")
-
-    if problems:
-        raise ValueError("invalid STA report:\n  " + "\n  ".join(problems))
-    return document
-
-
-# ----------------------------------------------------------------------
-# Markdown rendering
-# ----------------------------------------------------------------------
-
-
-def _seconds(value) -> str:
-    if value is None:
-        return "—"
-    return f"{value * 1e12:.3f} ps"
+    return check(document, _SPEC, _rules, "STA")
 
 
 def render_sta_markdown(document: dict) -> str:
     """Human-facing Markdown for a validated STA report."""
-    lines: list[str] = []
-    title = document.get("title") or f"STA report — {document['design']}"
-    lines.append(f"# {title}")
-    lines.append("")
-    lines.append(f"- generator: `{document['generator']}`")
-    lines.append(f"- interconnect: `{document['interconnect']}`")
-    lines.append(f"- paths requested per corner: {document['k']}")
-    lines.append(f"- worst slack: {_seconds(document['worst_slack_s'])}")
-    lines.append("")
+    lines = [f"# STA report — {document['design']}", "",
+             f"- generator: `{document['generator']}`",
+             f"- interconnect: `{document['interconnect']}`",
+             f"- paths requested per corner: {document['k']}",
+             f"- worst slack: {picoseconds(document['worst_slack_s'])}", ""]
     for corner in document["corners"]:
         factors = corner["factors"]
-        lines.append(
+        lines += [
             f"## Corner `{corner['name']}` "
             f"(wire_r ×{factors['wire_r']:g}, wire_c ×{factors['wire_c']:g}, "
-            f"cell ×{factors['cell']:g})")
-        lines.append("")
-        lines.append(f"Timing graph: {corner['nodes']} nodes, "
-                     f"{corner['edges']} edges. Worst slack: "
-                     f"{_seconds(corner['worst_slack_s'])}.")
-        lines.append("")
-        lines.append("| endpoint | arrival | required | slack |")
-        lines.append("|---|---|---|---|")
-        for endpoint in corner["endpoints"]:
-            lines.append(
-                f"| `{endpoint['endpoint']}` "
-                f"| {_seconds(endpoint['arrival_s'])} "
-                f"| {_seconds(endpoint['required_s'])} "
-                f"| {_seconds(endpoint['slack_s'])} |")
-        lines.append("")
+            f"cell ×{factors['cell']:g})", "",
+            f"Timing graph: {corner['nodes']} nodes, {corner['edges']} edges. "
+            f"Worst slack: {picoseconds(corner['worst_slack_s'])}.", "",
+            *table(["endpoint", "arrival", "required", "slack"], [
+                (f"`{e['endpoint']}`", picoseconds(e["arrival_s"]),
+                 picoseconds(e["required_s"]), picoseconds(e["slack_s"]))
+                for e in corner["endpoints"]]), ""]
         if corner["paths"]:
-            lines.append("| # | slack | endpoint | path |")
-            lines.append("|---|---|---|---|")
-            for entry in corner["paths"]:
-                chain = " → ".join(f"`{n}`" for n in entry["nodes"])
-                lines.append(
-                    f"| {entry['rank']} | {_seconds(entry['slack_s'])} "
-                    f"| `{entry['endpoint']}` | {chain} |")
+            lines += table(["#", "slack", "endpoint", "path"], [
+                (entry["rank"], picoseconds(entry["slack_s"]), f"`{entry['endpoint']}`",
+                 " → ".join(f"`{n}`" for n in entry["nodes"]))
+                for entry in corner["paths"]])
         else:
             lines.append("No reportable paths (no endpoint is reached "
                          "by any launch point).")
         lines.append("")
-    phases = document.get("phase_seconds") or {}
-    if phases:
-        lines.append("## Where the time went")
-        lines.append("")
-        lines.append("| phase | seconds |")
-        lines.append("|---|---|")
-        for name in sorted(phases, key=lambda n: -phases[n]):
-            lines.append(f"| {name} | {phases[name]:.6f} |")
-        lines.append("")
+    if document["phase_seconds"]:
+        lines += ["## Where the time went", "",
+                  *phase_table(document["phase_seconds"]), ""]
     return "\n".join(lines)

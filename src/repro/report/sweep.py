@@ -2,28 +2,28 @@
 
 Mirrors :mod:`repro.report.sta` for the incremental what-if sweep
 pipeline: a :class:`~repro.sweep.SweepResult` (plus an optional trace
-record) turns into one versioned JSON document, a hand-rolled structural
-validator guards the schema, and a Markdown renderer produces the
-human-facing table.  The document is what ``POST /sweep`` returns and
-what the cache stores bit for bit.
+record) turns into one versioned JSON document in the shared envelope,
+the shared checker walks its field spec, and a Markdown renderer
+produces the human-facing table.  The document is what ``POST /sweep``
+returns and what the cache stores bit for bit.
 """
 
 from __future__ import annotations
 
-from repro.trace import iter_events, phase_seconds
+from repro.report.render import phase_table, picoseconds, table
+from repro.report.schema import (
+    BOOL, COUNT, NAME, NUMBER, NUMBER_OR_NULL, STRING, TRACE_TAIL, ListOf,
+    check, header, header_spec, one_of, trace_tail,
+)
 
 #: Version tag stamped into (and required from) every sweep report.
 SWEEP_REPORT_SCHEMA = "repro.sweep-report/1"
 
-_NUMBER = (int, float)
-
-_POINT_MODES = ("base", "first_order", "rank1", "exact")
+_TIERS = ("first_order", "rank1", "exact")
 
 
 def build_sweep_report(result, trace: dict | None = None,
-                       parse_s: float | None = None,
-                       title: str | None = None,
-                       include_trace: bool = False) -> dict:
+                       parse_s: float | None = None) -> dict:
     """Assemble the versioned sweep report document.
 
     Parameters
@@ -36,43 +36,44 @@ def build_sweep_report(result, trace: dict | None = None,
         ``sweep_point`` / ``sweep_fallback`` events are folded in.
     parse_s:
         Optional front-end parse time, merged into the phase table.
-    title:
-        Optional human title.
-    include_trace:
-        Embed the full trace record (can be large).
     """
-    from repro import __version__
-
-    phases = phase_seconds(trace)
-    if trace is not None:
-        root_name = trace.get("name")
-        if root_name in phases:
-            phases["other"] = phases.pop(root_name)
-    if parse_s is not None:
-        phases["parse"] = float(parse_s)
-
     payload = result.to_payload()
-    document = {
-        "schema": SWEEP_REPORT_SCHEMA,
-        "generator": f"repro {__version__}",
-        "kind": "sweep",
+    return {
+        **header(SWEEP_REPORT_SCHEMA, "sweep"),
         "node": payload["node"],
         "base": payload["base"],
         "points": payload["points"],
         "stats": payload["stats"],
         "incremental_points": int(result.incremental_points),
-        "phase_seconds": {name: float(s) for name, s in phases.items()},
-        "events": [
-            {"span": span_name, **event}
-            for span_name, event in iter_events(trace)
-        ],
-        "traced": trace is not None,
+        **trace_tail(trace, parse_s),
     }
-    if title:
-        document["title"] = title
-    if include_trace:
-        document["trace"] = trace
-    return document
+
+
+def _point(*modes: str) -> dict:
+    return {"element": STRING, "value": NUMBER, "label": STRING,
+            "mode": one_of(*modes), "dc": NUMBER, "m1": NUMBER,
+            "elmore_delay": NUMBER, "error_estimate": NUMBER_OR_NULL,
+            "fallback": BOOL}
+
+
+_SPEC = {
+    **header_spec(SWEEP_REPORT_SCHEMA, "sweep"),
+    "node": NAME,
+    "base": _point("base"),
+    "points": ListOf(_point(*_TIERS), nonempty=True),
+    "stats": dict.fromkeys((*_TIERS, "fallbacks", "factorizations"), COUNT),
+    "incremental_points": COUNT,
+    **TRACE_TAIL,
+}
+
+
+def _rules(document: dict, need) -> None:
+    stats, points = document.get("stats"), document.get("points")
+    if isinstance(stats, dict) and isinstance(points, list):
+        tiers = [stats.get(tier) for tier in _TIERS]
+        if all(isinstance(count, int) for count in tiers):
+            need(sum(tiers) == len(points), "$.stats",
+                 "tier counts must sum to the point count")
 
 
 def validate_sweep_report(document) -> dict:
@@ -81,133 +82,30 @@ def validate_sweep_report(document) -> dict:
     Raises :class:`ValueError` listing every structural problem found;
     returns the document unchanged when valid.
     """
-    problems: list[str] = []
-
-    def need(condition, path, message):
-        if not condition:
-            problems.append(f"{path}: {message}")
-        return condition
-
-    def number(container, path, name):
-        v = container.get(name)
-        need(isinstance(v, _NUMBER) and not isinstance(v, bool),
-             f"{path}.{name}", "must be a number")
-
-    def point(container, path, *, base=False):
-        if not need(isinstance(container, dict), path, "must be an object"):
-            return
-        need(isinstance(container.get("element"), str), f"{path}.element",
-             "must be a string")
-        need(isinstance(container.get("label"), str), f"{path}.label",
-             "must be a string")
-        allowed = ("base",) if base else _POINT_MODES[1:]
-        need(container.get("mode") in allowed, f"{path}.mode",
-             f"must be one of {', '.join(allowed)}")
-        for field in ("value", "dc", "m1", "elmore_delay"):
-            number(container, path, field)
-        estimate = container.get("error_estimate")
-        need(estimate is None
-             or (isinstance(estimate, _NUMBER) and not isinstance(estimate, bool)),
-             f"{path}.error_estimate", "must be a number or null")
-        need(isinstance(container.get("fallback"), bool), f"{path}.fallback",
-             "must be a bool")
-
-    if not need(isinstance(document, dict), "$", "report must be an object"):
-        raise ValueError("invalid sweep report:\n  " + "\n  ".join(problems))
-    need(document.get("schema") == SWEEP_REPORT_SCHEMA, "$.schema",
-         f"must be {SWEEP_REPORT_SCHEMA!r}, got {document.get('schema')!r}")
-    need(isinstance(document.get("generator"), str), "$.generator",
-         "must be a string")
-    need(document.get("kind") == "sweep", "$.kind", "must be 'sweep'")
-    need(isinstance(document.get("node"), str) and document.get("node"),
-         "$.node", "must be a non-empty string")
-    need(isinstance(document.get("traced"), bool), "$.traced",
-         "must be a bool")
-    point(document.get("base"), "$.base", base=True)
-
-    points = document.get("points")
-    if need(isinstance(points, list) and points, "$.points",
-            "must be a non-empty list"):
-        for index, entry in enumerate(points):
-            point(entry, f"$.points[{index}]")
-
-    stats = document.get("stats")
-    if need(isinstance(stats, dict), "$.stats", "must be an object"):
-        for field in ("first_order", "rank1", "exact", "fallbacks",
-                      "factorizations"):
-            value = stats.get(field)
-            need(isinstance(value, int) and not isinstance(value, bool)
-                 and value >= 0,
-                 f"$.stats.{field}", "must be a non-negative int")
-        if isinstance(points, list) and all(
-                isinstance(field, int) for field in
-                (stats.get("first_order"), stats.get("rank1"),
-                 stats.get("exact"))):
-            need(stats["first_order"] + stats["rank1"] + stats["exact"]
-                 == len(points),
-                 "$.stats", "tier counts must sum to the point count")
-    incremental = document.get("incremental_points")
-    need(isinstance(incremental, int) and not isinstance(incremental, bool)
-         and incremental >= 0,
-         "$.incremental_points", "must be a non-negative int")
-
-    phases = document.get("phase_seconds")
-    if need(isinstance(phases, dict), "$.phase_seconds", "must be an object"):
-        for name, seconds in phases.items():
-            need(isinstance(seconds, _NUMBER) and not isinstance(seconds, bool),
-                 f"$.phase_seconds[{name!r}]", "must be a number")
-    need(isinstance(document.get("events"), list), "$.events",
-         "must be a list")
-
-    if problems:
-        raise ValueError("invalid sweep report:\n  " + "\n  ".join(problems))
-    return document
-
-
-# ----------------------------------------------------------------------
-# Markdown rendering
-# ----------------------------------------------------------------------
-
-
-def _seconds(value) -> str:
-    return f"{value * 1e12:.3f} ps"
+    return check(document, _SPEC, _rules, "sweep")
 
 
 def render_sweep_markdown(document: dict) -> str:
     """Human-facing Markdown for a validated sweep report."""
-    lines: list[str] = []
-    title = document.get("title") or f"Sweep report — node {document['node']}"
-    lines.append(f"# {title}")
-    lines.append("")
-    base = document["base"]
-    stats = document["stats"]
-    lines.append(f"- generator: `{document['generator']}`")
-    lines.append(f"- base Elmore delay: {_seconds(base['elmore_delay'])} "
-                 f"(dc {base['dc']:g})")
-    lines.append(f"- points: {len(document['points'])} "
-                 f"({document['incremental_points']} incremental, "
-                 f"{stats['factorizations']} extra factorizations, "
-                 f"{stats['fallbacks']} fallbacks)")
-    lines.append(f"- tier mix: first_order {stats['first_order']}, "
-                 f"rank1 {stats['rank1']}, exact {stats['exact']}")
-    lines.append("")
-    lines.append("| element | value | mode | dc | Elmore delay | est. error |")
-    lines.append("|---|---|---|---|---|---|")
-    for entry in document["points"]:
-        estimate = entry["error_estimate"]
-        mode = entry["mode"] + (" (fallback)" if entry["fallback"] else "")
-        lines.append(
-            f"| `{entry['element']}` | {entry['value']:g} | {mode} "
-            f"| {entry['dc']:g} | {_seconds(entry['elmore_delay'])} "
-            f"| {'—' if estimate is None else f'{estimate:.3g}'} |")
-    lines.append("")
-    phases = document.get("phase_seconds") or {}
-    if phases:
-        lines.append("## Where the time went")
-        lines.append("")
-        lines.append("| phase | seconds |")
-        lines.append("|---|---|")
-        for name in sorted(phases, key=lambda n: -phases[n]):
-            lines.append(f"| {name} | {phases[name]:.6f} |")
-        lines.append("")
+    base, stats = document["base"], document["stats"]
+    lines = [
+        f"# Sweep report — node {document['node']}", "",
+        f"- generator: `{document['generator']}`",
+        f"- base Elmore delay: {picoseconds(base['elmore_delay'])} (dc {base['dc']:g})",
+        f"- points: {len(document['points'])} "
+        f"({document['incremental_points']} incremental, "
+        f"{stats['factorizations']} extra factorizations, "
+        f"{stats['fallbacks']} fallbacks)",
+        f"- tier mix: first_order {stats['first_order']}, "
+        f"rank1 {stats['rank1']}, exact {stats['exact']}", "",
+        *table(["element", "value", "mode", "dc", "Elmore delay", "est. error"], [
+            (f"`{entry['element']}`", f"{entry['value']:g}",
+             entry["mode"] + (" (fallback)" if entry["fallback"] else ""),
+             f"{entry['dc']:g}", picoseconds(entry["elmore_delay"]),
+             "—" if entry["error_estimate"] is None
+             else f"{entry['error_estimate']:.3g}")
+            for entry in document["points"]]), ""]
+    if document["phase_seconds"]:
+        lines += ["## Where the time went", "",
+                  *phase_table(document["phase_seconds"]), ""]
     return "\n".join(lines)

@@ -82,12 +82,9 @@ class ResultCache:
         """The cached body for ``key``, or ``None``.  A hit refreshes
         the entry's LRU position; a memory miss consults the disk tier
         (counted as both a hit and a ``disk_hit``)."""
-        with self._lock:
-            body = self._entries.get(key)
-            if body is not None:
-                self._entries.move_to_end(key)
-                self._counters["hits"] += 1
-                return body
+        body = self.memory_hit(key)
+        if body is not None:
+            return body
         body = self._disk_load(key)
         with self._lock:
             if body is None:
@@ -96,6 +93,17 @@ class ResultCache:
             self._counters["hits"] += 1
             self._counters["disk_hits"] += 1
             self._store_in_memory(key, body)
+            return body
+
+    def memory_hit(self, key: str) -> bytes | None:
+        """The in-memory body for ``key``, counted as a hit, or ``None``
+        without touching the disk tier or counting a miss: the second
+        look of a caller whose :meth:`get` has already counted one."""
+        with self._lock:
+            body = self._entries.get(key)
+            if body is not None:
+                self._entries.move_to_end(key)
+                self._counters["hits"] += 1
             return body
 
     def put(self, key: str, body: bytes) -> None:

@@ -82,7 +82,6 @@ from repro.report import (
     validate_sta_report,
     validate_sweep_report,
 )
-from repro.reduce import REDUCTION_MEMO
 from repro.service.cache import ResultCache
 from repro.service.canon import request_key, sta_request_key, sweep_request_key
 from repro.sweep import SweepEngine, SweepPlan
@@ -281,20 +280,11 @@ def _sweep_key(params: dict) -> str:
 def _run_analyze(params: dict, engine: BatchEngine, remaining, parse_s):
     """Run one analysis on the worker's engine; the crash verdict says
     whether jobs were lost even after the engine's pool rebuild."""
-    # Reduction goes through the content-keyed memo rather than the
-    # job's own reduce flag: every service request re-parses its deck
-    # into a fresh Circuit, so the engine's per-object sharing never
-    # triggers here — the memo makes repeated reductions of one topology
-    # (same canonical key, any textual spelling) pay the pure-Python
-    # chain collapse once.
     deck = params["deck"]
-    circuit = deck.circuit
-    if params["reduce"]:
-        circuit = REDUCTION_MEMO.reduce(circuit, keep=params["nodes"])
-    job = AweJob(circuit, params["nodes"], stimuli=deck.stimuli,
+    job = AweJob(deck.circuit, params["nodes"], stimuli=deck.stimuli,
                  order=params["order"], error_target=params["error_target"],
                  max_order=params["max_order"], label=params["label"],
-                 reduce=False)
+                 reduce=params["reduce"])
     stats_before = engine.stats()
     results = engine.run([job], trace=True, timeout=remaining)
     stats_delta = {name: value - stats_before.get(name, 0)
@@ -767,7 +757,6 @@ class AnalysisService(ServerCore):
                          for kind, value in self._avg_job_s.items()}
         return {
             "avg_job_s": avg_job_s,
-            "reduction_memo": REDUCTION_MEMO.stats(),
             "engine_workers": self.engine_workers,
             "worker_crash_requests": self.health.failures,
             "degraded_entries": self.health.entries,

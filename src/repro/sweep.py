@@ -290,8 +290,7 @@ class SweepEngine:
     ----------
     circuit:
         The base linear R/C/V/I circuit.  Never mutated: perturbed
-        variants are derived with :meth:`variant` (safe even for frozen
-        circuits out of :class:`repro.reduce.ReductionMemo`).
+        variants are derived with :meth:`variant`, on a copy.
     stimuli:
         Source stimuli; each source's *post-transition* level defines
         the step the swept moments belong to.  Unnamed sources default

@@ -217,6 +217,25 @@ class TestTimeout:
                 while time.monotonic() < deadline:
                     pass  # burn CPU until the outer alarm fires
 
+    def test_swallowed_timeout_is_raised_on_exit(self):
+        # The alarm can land in code that catches every exception (a gc
+        # callback, say); the block must not then run on past its budget.
+        import time
+
+        from repro.engine.batch import _deadline
+        from repro.errors import BatchTimeoutError
+
+        caught = []
+        with pytest.raises(BatchTimeoutError):
+            with _deadline(0.01):
+                deadline = time.monotonic() + 0.1
+                while time.monotonic() < deadline:
+                    try:
+                        time.sleep(0.005)
+                    except BatchTimeoutError:
+                        caught.append(True)
+        assert caught == [True]
+
     def test_sigterm_during_deadline_is_survivable(self):
         # The serve daemon's SIGTERM handler only flips a drain flag; a
         # job running under _deadline when the signal lands must finish

@@ -145,6 +145,6 @@ class TestNestedDeadline:
 
 
 def _iter_events(trace):
-    from repro.report.build import iter_events
+    from repro.trace import iter_events
 
     return iter_events(trace)

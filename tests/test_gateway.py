@@ -214,6 +214,31 @@ class TestCoalescing:
         assert metrics["canon_memo_hits"] == 280
         assert metrics["coalesced_requests"] + metrics["cache_hits"] == 280
 
+    def test_copy_missing_the_cache_as_its_leader_lands_is_a_hit(
+            self, daemons):
+        """A copy whose cache lookup misses just before the key's leader
+        finishes reaches dispatch with the flight gone: the body the
+        leader wrote through answers it, and the shard sees one forward."""
+        service = GatewayService(shard_urls=[daemons[0].url]).start()
+        body = request_body(FAST_DECK, ["2"])
+        lookup, lookups, leader = service.cache.get, [], []
+
+        def late_get(key):
+            lookups.append(key)
+            missed = lookup(key)
+            if len(lookups) == 1:  # the copy's miss: the leader runs now
+                leader.append(service.submit(body))
+            return missed
+
+        service.cache.get = late_get
+        status, copy_body, headers = service.submit(body)
+
+        assert leader[0][0] == status == 200
+        assert leader[0][2]["X-Repro-Cache"] == "miss"
+        assert headers["X-Repro-Cache"] == "hit"
+        assert copy_body == leader[0][1]
+        assert daemons[0].service.metrics()["requests_total"] == 1
+
     def test_coalesced_result_lands_in_gateway_cache(self, daemons):
         service = GatewayService(shard_urls=[daemons[0].url]).start()
         body = request_body(FAST_DECK, ["2"])

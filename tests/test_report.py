@@ -17,16 +17,24 @@ from pathlib import Path
 
 import pytest
 
-from repro import AweJob, BatchEngine, Step
+from repro import (AweJob, BatchEngine, Design, Step, SweepEngine, SweepPlan,
+                   SweepPoint, Tracer, run_sta)
 from repro.cli import main
-from repro.papercircuits import fig22_floating_cap
+from repro.papercircuits import fig22_floating_cap, random_rc_tree
 from repro.report import (
     REPORT_SCHEMA,
     build_report,
+    build_sta_report,
+    build_sweep_report,
     render_markdown,
+    render_sta_markdown,
+    render_sweep_markdown,
     response_record,
     validate_report,
+    validate_sta_report,
+    validate_sweep_report,
 )
+from tests.test_sta_service import demo_design_dict
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -233,6 +241,8 @@ class TestValidateReport:
         (lambda d: d.update(schema="nope/9"), "$.schema"),
         (lambda d: d.update(kind="sideways"), "$.kind"),
         (lambda d: d.update(jobs=[]), "$.jobs"),
+        pytest.param(lambda d: d.update(jobs=-1), "$.jobs",
+                     id="jobs-not-a-list"),
         (lambda d: d["jobs"][0].update(ok="yes"), ".ok"),
         (lambda d: d["jobs"][0].update(responses=[]), ".responses"),
         (lambda d: d["jobs"][0]["phase_seconds"].update(lu=-1.0), "phase_seconds"),
@@ -284,3 +294,140 @@ class TestRenderMarkdown:
         assert "### Order trajectory" in markdown
         assert "| escalated" in markdown or "escalated |" in markdown
         assert "%" in markdown
+
+
+def _sta_document() -> dict:
+    tracer = Tracer("sta")
+    run = run_sta(Design.from_dict(demo_design_dict()), k=3, tracer=tracer)
+    return build_sta_report(run, trace=tracer.to_record(), parse_s=1e-3)
+
+
+def _sweep_document() -> dict:
+    tracer = Tracer("sweep")
+    engine = SweepEngine(random_rc_tree(12, seed=7),
+                         {"Vin": Step(0.0, 1.0)}, tracer=tracer)
+    plan = SweepPlan(node="5", points=(
+        SweepPoint(element="R2", scale=1.02, label="small"),
+        SweepPoint(element="C5", scale=2.0, label="big"),
+        SweepPoint(element="Vin", value=0.9, label="retune")))
+    return build_sweep_report(engine.evaluate(plan), trace=tracer.to_record(),
+                              parse_s=1e-3)
+
+
+def _run_document() -> dict:
+    jobs = [AweJob(fig22_floating_cap(), ("7", "12"),
+                   stimuli={"Vin": Step(0.0, 5.0)}, error_target=0.001,
+                   label="deep"),
+            AweJob(fig22_floating_cap(), ("missing",),
+                   stimuli={"Vin": Step(0.0, 5.0)}, label="doomed")]
+    engine = BatchEngine()
+    return build_report(engine.run(jobs, trace=True),
+                        engine_stats=engine.stats(),
+                        parse_seconds={"deep": 1e-3}, threshold=2.5)
+
+
+KINDS = {
+    "run": (_run_document, validate_report),
+    "sta": (_sta_document, validate_sta_report),
+    "sweep": (_sweep_document, validate_sweep_report),
+}
+
+
+@pytest.fixture(scope="module")
+def documents():
+    return {kind: build() for kind, (build, _) in KINDS.items()}
+
+
+def _fields(value, path="$"):
+    """``(path, container, key)`` of every object field of a document, in
+    the validators' path notation.  Event payloads are free-form."""
+    if isinstance(value, dict):
+        free = path.endswith(("phase_seconds", "counters"))
+        for key, item in value.items():
+            field = f"{path}[{key!r}]" if free else f"{path}.{key}"
+            yield field, value, key
+            if key != "data":
+                yield from _fields(item, field)
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _fields(item, f"{path}[{index}]")
+
+
+class TestOneChecker:
+    """The three validators share one checker: every field the build_*
+    functions write is checked, and damage is reported by its path."""
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_every_damaged_field_is_named_by_its_path(self, kind, documents):
+        document = copy.deepcopy(documents[kind])
+        validate = KINDS[kind][1]
+        validate(json.loads(json.dumps(document)))
+        fields = list(_fields(document))
+        assert len(fields) > 40
+        for path, container, key in fields:
+            original = container[key]
+            container[key] = object()  # no field accepts a bare object
+            try:
+                with pytest.raises(ValueError) as excinfo:
+                    validate(document)
+            finally:
+                container[key] = original
+            assert f"\n  {path}: " in str(excinfo.value), path
+
+    @pytest.mark.parametrize("mutate, fragment", [
+        (lambda d: d.update(kind="analysis"), "$.kind"),
+        (lambda d: d.update(interconnect="spice"), "$.interconnect"),
+        (lambda d: d.update(k=True), "$.k"),
+        (lambda d: d.update(corners=[]), "$.corners"),
+        (lambda d: d["corners"][0].update(name=""), "$.corners[0].name"),
+        (lambda d: d["corners"][0]["endpoints"][0].update(required_s=None),
+         "$.corners[0].endpoints[0].required_s"),
+        (lambda d: d["corners"][0]["paths"][0].update(rank=2),
+         "$.corners[0].paths[0].rank"),
+        (lambda d: d["corners"][0]["paths"][0]["edges"].pop(),
+         "$.corners[0].paths[0].edges"),
+        (lambda d: d["phase_seconds"].update(parse=-1.0), "phase_seconds"),
+        (lambda d: d["events"].append("late"), "$.events["),
+    ])
+    def test_sta_rejects_structural_damage(self, documents, mutate, fragment):
+        document = copy.deepcopy(documents["sta"])
+        mutate(document)
+        with pytest.raises(ValueError, match="invalid STA report") as excinfo:
+            validate_sta_report(document)
+        assert fragment in str(excinfo.value)
+
+    @pytest.mark.parametrize("mutate, fragment", [
+        (lambda d: d.update(schema="repro.sweep-report/0"), "$.schema"),
+        (lambda d: d.update(node=""), "$.node"),
+        (lambda d: d["base"].update(mode="exact"), "$.base.mode"),
+        (lambda d: d["points"][0].update(mode="base"), "$.points[0].mode"),
+        (lambda d: d["points"][0].update(dc="high"), "$.points[0].dc"),
+        (lambda d: d["points"][0].update(fallback=0), "$.points[0].fallback"),
+        (lambda d: d["stats"].update(exact=d["stats"]["exact"] + 1), "$.stats"),
+        (lambda d: d.update(incremental_points=-1), "$.incremental_points"),
+        (lambda d: d.update(points=[]), "$.points"),
+        (lambda d: d.update(traced="yes"), "$.traced"),
+    ])
+    def test_sweep_rejects_structural_damage(self, documents, mutate, fragment):
+        document = copy.deepcopy(documents["sweep"])
+        mutate(document)
+        with pytest.raises(ValueError, match="invalid sweep report") as excinfo:
+            validate_sweep_report(document)
+        assert fragment in str(excinfo.value)
+
+    def test_sta_and_sweep_list_every_problem_at_once(self, documents):
+        for kind, validate in (("sta", validate_sta_report),
+                               ("sweep", validate_sweep_report)):
+            document = dict(documents[kind], generator=7, traced=None)
+            with pytest.raises(ValueError) as excinfo:
+                validate(document)
+            assert "$.generator" in str(excinfo.value)
+            assert "$.traced" in str(excinfo.value)
+
+    def test_markdown_renderers_share_the_phase_table(self, documents):
+        for markdown in (render_markdown(documents["run"]),
+                         render_sta_markdown(documents["sta"]),
+                         render_sweep_markdown(documents["sweep"])):
+            assert "| phase | wall time | share |" in markdown
+            assert "| parse | " in markdown
+

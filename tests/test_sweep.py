@@ -9,8 +9,6 @@ error bound.  Invalid updates must *demote* — never silently return
 wrong numbers — and say so in the trace.
 """
 
-import dataclasses
-
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
@@ -309,19 +307,6 @@ class TestEngineScope:
         circuit.add(Inductor("L1", "1", "2", 1e-9))
         with pytest.raises(AnalysisError, match="R/C/V/I"):
             SweepEngine(circuit, STIM)
-
-    def test_frozen_base_circuit_is_fine(self):
-        # Memoized (frozen) circuits are a legitimate base: perturbed
-        # variants go through copy(), which is always mutable.
-        circuit = tree().freeze()
-        engine = SweepEngine(circuit, STIM)
-        plan = SweepPlan(node="5",
-                         points=(SweepPoint(element="R1", scale=3.0),))
-        result = engine.evaluate(plan)
-        assert result.points[0].mode == "rank1"
-        # Exact tier re-stamps via copy() — must not trip the freeze guard.
-        plan = dataclasses.replace(plan, mode="exact")
-        assert engine.evaluate(plan).points[0].mode == "exact"
 
     def test_one_shot_wrapper(self):
         circuit = tree()
