@@ -59,7 +59,7 @@ def main():
     for rise in (None, 0.2e-9, 0.5e-9, 1e-9, 2e-9, 4e-9):
         stim = {"Vin": Step(0.0, 3.3) if rise is None else Ramp(0.0, 3.3, rise_time=rise)}
         sweep = AweAnalyzer(circuit, stim, max_order=10).response(output, order=6)
-        overshoot = sweep.waveform.to_waveform(samples=4000).overshoot()
+        overshoot = sweep.waveform.to_waveform().overshoot()
         label = "step" if rise is None else fmt(rise, "s")
         print(f"  {label:>10}  {overshoot:>8.1%}  "
               f"{fmt(sweep.delay_50(), 's'):>10}")

@@ -19,6 +19,12 @@ the full pipeline of the paper's Sections III–IV:
    unsolvable low orders are bumped until the (q+1)-vs-q error estimate
    (Sec. 3.4) meets the target.
 
+Subproblems whose moment chains are exact copies or exact negatives of
+an earlier one's — the two halves of a ramp from rest, the edges of an
+equal-edge pulse — are *mirrors*: each output escalates once per
+distinct chain, and a mirror takes its source's poles, order, estimate
+and notes, with residues from its own moments (see ``Subproblem``).
+
 Typical use::
 
     from repro import AweAnalyzer, Step
@@ -56,7 +62,7 @@ from repro.core.moments import (
     particular_solutions,
 )
 from repro.core.pade import match_poles
-from repro.core.residues import solve_residues
+from repro.core.residues import refit_residues, solve_residues
 from repro.errors import (
     ApproximationError,
     MomentMatrixError,
@@ -76,7 +82,14 @@ class Subproblem:
 
     ``t0`` is the absolute event time; ``c0``/``c1`` the particular
     solution vectors; ``moments`` the shared homogeneous moment vectors;
-    ``rates`` optional state-derivative data for slope matching.
+    ``slope_reference`` optional state-derivative data for slope matching.
+
+    ``mirror`` is ``(index, sign)`` when this subproblem's moment chain
+    (initial state and every moment vector), particular slope ``c1`` and
+    slope references equal ``sign`` times those of the earlier subproblem
+    ``index``, bitwise.  The moment recursion is linear and keeps a sign
+    flip exact, so every output's fit inputs are then exact ± copies and
+    so is its Padé fit.
     """
 
     label: str
@@ -86,6 +99,7 @@ class Subproblem:
     moments: MomentSet
     slope_reference: dict[str, float]
     trivial: bool
+    mirror: tuple[int, int] | None = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -316,6 +330,7 @@ class AweAnalyzer:
                 moment_span.meta["active_chains"] = len(active)
 
         subproblems: list[Subproblem] = []
+        sources: list[tuple[int, Subproblem]] = []
         for i, (spec, particular) in enumerate(zip(specs, particulars)):
             label, t0, _, _, _, slope_reference, _ = spec
             if trivial_flags[i]:
@@ -324,17 +339,22 @@ class AweAnalyzer:
                 moments = homogeneous_moments(system, y0s[i], 0)
             else:
                 moments = batch.column(active.index(i))
-            subproblems.append(
-                Subproblem(
-                    label=label,
-                    t0=t0,
-                    c0=particular.c0,
-                    c1=particular.c1,
-                    moments=moments,
-                    slope_reference=slope_reference,
-                    trivial=trivial_flags[i],
-                )
+            sub = Subproblem(
+                label=label,
+                t0=t0,
+                c0=particular.c0,
+                c1=particular.c1,
+                moments=moments,
+                slope_reference=slope_reference,
+                trivial=trivial_flags[i],
             )
+            if not sub.trivial:
+                mirror = _find_mirror(sub, sources)
+                if mirror is None:
+                    sources.append((i, sub))
+                else:
+                    sub = dataclasses.replace(sub, mirror=mirror)
+            subproblems.append(sub)
         return subproblems
 
     def _state_rates_by_node(self, rates, storage: StorageState) -> dict[str, float]:
@@ -402,13 +422,22 @@ class AweAnalyzer:
         stats = self.system.stats
         models: list[PoleResidueModel] = []
         diagnostics: list[ComponentApproximation] = []
+        fits: dict[int, tuple] = {}
         with self.tracer.span("response", stats=stats, node=name):
             with stats.timer("wall_time_s"):
-                for sub in subproblems:
-                    model, info = self._approximate_component(
-                        sub, row, name, order, error_target,
-                        match_initial_slope, use_scaling, error_method, stabilize,
-                    )
+                for index, sub in enumerate(subproblems):
+                    if sub.mirror is None:
+                        fits[index] = self._approximate_component(
+                            sub, row, name, order, error_target,
+                            match_initial_slope, use_scaling, error_method, stabilize,
+                        )
+                        model, info = fits[index]
+                    else:
+                        source = sub.mirror[0]
+                        model, info = self._mirror_component(
+                            sub, subproblems[source], fits[source], row, name,
+                            match_initial_slope,
+                        )
                     models.append(model)
                     if info is not None:
                         diagnostics.append(info)
@@ -452,12 +481,7 @@ class AweAnalyzer:
 
         slope_constraint = None
         if match_initial_slope:
-            if node_name not in sub.slope_reference:
-                raise ApproximationError(
-                    f"slope matching needs a grounded capacitor at node {node_name!r}"
-                )
-            # Homogeneous initial slope = total initial slope − particular slope.
-            slope_constraint = sub.slope_reference[node_name] - slope
+            slope_constraint = _slope_constraint(sub, node_name, slope)
 
         try:
             estimator = ESTIMATORS[error_method]
@@ -471,6 +495,45 @@ class AweAnalyzer:
                 error_target, use_scaling, estimator, stabilize,
                 slope_constraint,
             )
+
+    def _mirror_component(
+        self, sub: Subproblem, source: Subproblem, fit, row: int,
+        node_name: str, match_initial_slope: bool,
+    ):
+        """A mirror's component from its source's ``(model, info)`` fit.
+
+        The poles, order, estimate and notes are the source's; the
+        residues come from one solve on those poles with the mirror's own
+        moments — the last step of its own escalation, so the result is
+        bitwise what fitting it directly gives, signed zeros included
+        (negating the source's residues flips the sign of their zero
+        imaginary parts)."""
+        model, info = fit
+        offset, slope = float(sub.c0[row]), float(sub.c1[row])
+        if info is None:  # the source's output is quiet, so is the mirror's
+            return (
+                PoleResidueModel((), offset=offset, slope=slope, t0=sub.t0,
+                                 name=sub.label),
+                None,
+            )
+        constraint = None
+        if match_initial_slope:
+            constraint = _slope_constraint(sub, node_name, slope)
+        order = len(model.terms)
+        with self.tracer.span("residues", order=order):
+            terms = refit_residues(
+                model.terms, sub.moments.sequence_for(row),
+                initial_slope=constraint if order >= 2 else None,
+            )
+        self.tracer.event(
+            "fit_shared", subproblem=sub.label, node=node_name,
+            source=source.label, sign=sub.mirror[1], order=info.order,
+        )
+        return (
+            PoleResidueModel(tuple(terms), offset=offset, slope=slope,
+                             t0=sub.t0, name=sub.label),
+            dataclasses.replace(info, label=sub.label),
+        )
 
     def _escalate(
         self, sub: Subproblem, row: int, node_name: str, sequence, offset,
@@ -730,6 +793,37 @@ def _reproduces_higher_moments(
         if abs(predicted.real - actual) > rtol * max(abs(actual), 1e-30):
             return False
     return True
+
+
+def _slope_constraint(sub: Subproblem, node_name: str, slope: float) -> float:
+    """The homogeneous initial slope at ``node_name`` for the paper's
+    Sec. 4.3 ``m₋₂`` match: total initial slope − particular slope."""
+    if node_name not in sub.slope_reference:
+        raise ApproximationError(
+            f"slope matching needs a grounded capacitor at node {node_name!r}"
+        )
+    return sub.slope_reference[node_name] - slope
+
+
+def _find_mirror(
+    sub: Subproblem, sources: list[tuple[int, Subproblem]]
+) -> tuple[int, int] | None:
+    """``(index, sign)`` of the first source whose moment chain, ``c1``
+    and slope references equal ``sign`` times ``sub``'s, entry for entry;
+    ``None`` when none does."""
+    def vectors(s: Subproblem):
+        return (s.moments.initial, *s.moments.vectors, s.c1)
+
+    for index, other in sources:
+        if other.slope_reference.keys() != sub.slope_reference.keys():
+            continue
+        for sign in (1, -1):
+            if all(np.array_equal(mine, sign * theirs)
+                   for mine, theirs in zip(vectors(sub), vectors(other))) and all(
+                    rate == sign * other.slope_reference[node]
+                    for node, rate in sub.slope_reference.items()):
+                return index, sign
+    return None
 
 
 def _is_negligible(y0: np.ndarray, *references: np.ndarray) -> bool:

@@ -178,29 +178,50 @@ class AweWaveform:
             raise ApproximationError("waveform has no transient; no natural window")
         return last_event + settle_factor * tau
 
-    def to_waveform(self, times=None, samples: int = 1000) -> Waveform:
-        """Sample into a :class:`~repro.waveform.Waveform` (auto window when
-        ``times`` is omitted)."""
+    def to_waveform(self, times=None, samples: int = _SCAN_SAMPLES) -> Waveform:
+        """Sample into a :class:`~repro.waveform.Waveform`.  Without
+        ``times`` the grid is ``samples`` points over
+        :meth:`suggested_window`; the default is the crossing scan's grid."""
         if times is None:
             times = np.linspace(0.0, self.suggested_window(), samples)
         times = np.asarray(times, dtype=float)
         return Waveform(times, self.evaluate(times), self.name)
 
-    def threshold_delay(self, level: float, rising: bool | None = None) -> float:
-        """First crossing of ``level`` by the model itself (paper Sec. 5.3,
-        Fig. 2), with :meth:`Waveform.threshold_delay`'s contract.  A scan
-        over :meth:`suggested_window` brackets it, zooms on the model narrow
-        the bracket, and the crossing is interpolated there.  Two crossings
-        inside one scan interval are missed."""
-        window = self.suggested_window()
-        times = np.linspace(0.0, window, _SCAN_SAMPLES)
+    def first_crossings(self, levels, scan: Waveform | None = None) -> list:
+        """First crossing by the model itself (paper Sec. 5.3, Fig. 2) of
+        each ``(level, rising)`` pair in ``levels``, with
+        :meth:`Waveform.threshold_delay`'s contract per pair; a level the
+        scan never crosses gives ``None``.
+
+        One scan — ``scan``, by default :meth:`to_waveform`'s grid over
+        :meth:`suggested_window` — brackets every level; zooms on the
+        model narrow each bracket, and the crossing is interpolated there.
+        Two crossings of a level inside one scan interval are missed."""
+        if scan is None:
+            scan = self.to_waveform()
+        return [self._first_crossing(scan, level, rising) for level, rising in levels]
+
+    def _first_crossing(self, scan: Waveform, level: float, rising) -> float | None:
+        crossings = scan.crossings(level, rising)
+        if not crossings:
+            return None
+        window, times, crossing = scan.t_stop, scan.times, crossings[0]
         while True:
-            sampled = Waveform(times, self.evaluate(times), self.name)
-            crossing = sampled.threshold_delay(level, rising)
             i = int(np.searchsorted(times, crossing, side="right")) - 1
             if times[1] - times[0] <= _CROSSING_TOLERANCE * window or times[i] == crossing:
                 return crossing
             times = np.linspace(times[i], times[i + 1], _ZOOM_SAMPLES)
+            zoomed = Waveform(times, self.evaluate(times), self.name)
+            crossing = zoomed.threshold_delay(level, rising)
+
+    def threshold_delay(self, level: float, rising: bool | None = None) -> float:
+        """The one-level case of :meth:`first_crossings`; raises when the
+        model never crosses ``level``."""
+        scan = self.to_waveform()
+        (crossing,) = self.first_crossings([(level, rising)], scan)
+        if crossing is None:
+            return scan.threshold_delay(level, rising)  # raises: never crosses
+        return crossing
 
     @property
     def is_stable(self) -> bool:

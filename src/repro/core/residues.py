@@ -80,19 +80,36 @@ def solve_residues(
     time-domain contribution of a term is
     ``residue · t^{power−1} e^{pole·t} / (power−1)!``.
     """
-    q = len(poles)
-    if q == 0:
+    if len(poles) == 0:
         raise ApproximationError("no poles supplied")
-    if len(moments) < q:
-        raise ApproximationError(
-            f"residues for {q} poles need {q} moment values, got {len(moments)}"
-        )
     clusters = cluster_poles(np.asarray(poles, dtype=complex))
     columns: list[tuple[complex, int]] = []
     for pole, multiplicity in clusters:
         for j in range(1, multiplicity + 1):
             columns.append((pole, j))
+    return _solve_columns(columns, moments, initial_slope)
 
+
+def refit_residues(
+    terms, moments: np.ndarray, initial_slope: float | None = None
+) -> list[tuple[complex, int, complex]]:
+    """:func:`solve_residues` on the ``(pole, power)`` columns of an
+    existing term list, for another moment sequence: the same residue
+    system, without re-clustering the poles."""
+    return _solve_columns([(pole, power) for pole, power, _ in terms],
+                          moments, initial_slope)
+
+
+def _solve_columns(
+    columns: list[tuple[complex, int]],
+    moments: np.ndarray,
+    initial_slope: float | None,
+) -> list[tuple[complex, int, complex]]:
+    q = len(columns)
+    if len(moments) < q:
+        raise ApproximationError(
+            f"residues for {q} poles need {q} moment values, got {len(moments)}"
+        )
     A = np.zeros((q, q), dtype=complex)
     rhs = np.zeros(q, dtype=complex)
     # Row 0: the initial value.  Only the j = 1 (pure exponential) terms are

@@ -82,21 +82,29 @@ def response_record(node: str, response, threshold: float | None = None) -> dict
     initial = float(response.waveform.evaluate(0.0))
     switches = final is not None and abs(final - initial) >= 1e-6 * max(
         abs(final), abs(initial), 1.0)
-    record["delay_50_s"] = _delay_or_none(response.delay_50) if switches else None
+    # One scan reads both delays: the 50 % level in the switching
+    # direction, the threshold in either.
+    levels = [(0.5 * (initial + final), final > initial)] if switches else []
     if threshold is not None:
-        record["delay_threshold_s"] = _delay_or_none(
-            lambda: response.delay(threshold))
+        levels.append((threshold, None))
+    delays = _delays_or_none(response.waveform, levels)
+    record["delay_50_s"] = delays.pop(0) if switches else None
+    if threshold is not None:
+        record["delay_threshold_s"] = delays.pop(0)
     return record
 
 
-def _delay_or_none(compute) -> float | None:
+def _delays_or_none(waveform, levels: list) -> list:
+    """First crossings of ``(level, rising)`` pairs; ``None`` where the
+    delay does not exist ("never crosses" and friends)."""
+    if not levels:
+        return []
     try:
-        value = compute()
+        crossings = waveform.first_crossings(levels)
     except (ReproError, ValueError):
-        # "never crosses the threshold" and friends: the delay simply
-        # does not exist for this response.
-        return None
-    return None if value != value else float(value)  # NaN → None
+        return [None] * len(levels)
+    return [None if value is None or value != value else float(value)  # NaN → None
+            for value in crossings]
 
 
 def job_record(result, parse_s: float | None = None,

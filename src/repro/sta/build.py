@@ -38,7 +38,7 @@ import math
 from repro.analysis.sources import Ramp, Step
 from repro.circuit.netlist import Circuit
 from repro.core.driver import AweAnalyzer
-from repro.errors import ReproError, StaError
+from repro.errors import AnalysisError, ReproError, StaError
 from repro.rctree.elmore import elmore_delays
 from repro.sta.design import ROOT, Design, Net, PortIn
 from repro.sta.graph import TimingGraph
@@ -184,11 +184,15 @@ def _evaluate_net_awe(net: Net, corner: Corner, drive_resistance: float,
         result = _NetEval()
         for sink in sinks:
             tap = "drv" if sink.tap == ROOT else sink.tap
-            response = analyzer.response(tap)
-            v1 = response.waveform.final_value()
-            t50 = response.delay_50()
-            t10 = response.delay(0.1 * v1)
-            t90 = response.delay(0.9 * v1)
+            waveform = analyzer.response(tap).waveform
+            v1 = waveform.final_value()
+            v0 = float(waveform.evaluate(0.0))
+            crossings = waveform.first_crossings(
+                [(0.5 * (v0 + v1), v1 > v0), (0.1 * v1, None), (0.9 * v1, None)])
+            if None in crossings:
+                raise AnalysisError(
+                    f"sink {sink.node!r} never crosses its 10/50/90 % levels")
+            t50, t10, t90 = crossings
             result.delays[sink.node] = max(0.0, t50 - t50_drv)
             result.slews[sink.node] = max(0.0, t90 - t10)
         return result

@@ -47,26 +47,36 @@ def measure_delay(
 
     ``v_final`` overrides the settled value (pass the known steady state
     when the sampled window ends before full settling); ``threshold`` adds
-    a logic-threshold crossing to the report.  On an AWE model the
-    crossings are the model's own, and the levels, monotonicity and
-    overshoot come from 4000 samples over its suggested window.
+    a logic-threshold crossing to the report.  On an AWE model the levels,
+    monotonicity and overshoot come from its :meth:`~AweWaveform.to_waveform`
+    samples, and every crossing is the model's own, read from that same
+    scan by :meth:`~AweWaveform.first_crossings`.
     """
-    sampled = waveform.to_waveform(samples=4000) if isinstance(waveform, AweWaveform) else waveform
+    sampled = waveform.to_waveform() if isinstance(waveform, AweWaveform) else waveform
     v0 = sampled.initial
     v1 = sampled.final if v_final is None else v_final
     if v0 == v1:
         raise AnalysisError("no transition: initial and final values are equal")
-
-    def crossing(level: float) -> float:
-        return waveform.threshold_delay(level, rising=v1 > v0)
+    rising = v1 > v0
+    levels = [0.5 * (v0 + v1), *([] if threshold is None else [threshold]),
+              v0 + 0.9 * (v1 - v0), v0 + 0.1 * (v1 - v0)]
+    crossings = (waveform.first_crossings([(level, rising) for level in levels],
+                                          scan=sampled)
+                 if isinstance(waveform, AweWaveform) else [None] * len(levels))
+    # Read off the samples where there is no model crossing; a level the
+    # samples never cross raises "never crosses" there, in level order.
+    t50, *t_threshold, t90, t10 = [
+        sampled.threshold_delay(level, rising) if found is None else found
+        for level, found in zip(levels, crossings)
+    ]
 
     return DelayReport(
         node=waveform.name,
         v_initial=v0,
         v_final=v1,
-        delay_50=crossing(0.5 * (v0 + v1)),
-        threshold_delay=None if threshold is None else crossing(threshold),
-        slew_10_90=crossing(v0 + 0.9 * (v1 - v0)) - crossing(v0 + 0.1 * (v1 - v0)),
+        delay_50=t50,
+        threshold_delay=t_threshold[0] if t_threshold else None,
+        slew_10_90=t90 - t10,
         monotone=sampled.is_monotone(tolerance=1e-6),
         overshoot=sampled.overshoot(),
     )

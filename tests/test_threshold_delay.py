@@ -6,8 +6,11 @@ per-sample loop (kept below as the reference) gave.
 :meth:`AweWaveform.threshold_delay` must find the first crossing of the
 closed-form model in the requested direction, however early in the
 window it falls, and keep first-crossing semantics on the paper's
-nonmonotone responses.
+nonmonotone responses.  :meth:`AweWaveform.first_crossings` reads several
+levels from one scan and must give each level's one-level answer.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from scipy.optimize import brentq
 from repro import AweAnalyzer, DC, Ramp, Step
 from repro.errors import AnalysisError
 from repro.papercircuits import fig16_stiff_rc_tree, fig25_rlc_ladder, random_rc_tree
+from repro.timing import DelayReport, Receiver, Stage, measure_delay
 from repro.waveform import Waveform
 
 
@@ -136,3 +140,88 @@ def test_first_crossing_against_a_dense_grid(case):
             got = waveform.threshold_delay(level, rising)
             assert abs(got - expected[0]) <= step, (level, rising)
     assert several > 0
+
+
+def _old_measure_delay(waveform, threshold=None, v_final=None):
+    """``measure_delay`` as it was before the levels shared one scan: a
+    4000-sample read for the levels, then one crossing call per level."""
+    sampled = waveform.to_waveform(samples=4000)
+    v0 = sampled.initial
+    v1 = sampled.final if v_final is None else v_final
+
+    def crossing(level):
+        return waveform.threshold_delay(level, rising=v1 > v0)
+
+    return DelayReport(
+        node=waveform.name, v_initial=v0, v_final=v1,
+        delay_50=crossing(0.5 * (v0 + v1)),
+        threshold_delay=None if threshold is None else crossing(threshold),
+        slew_10_90=crossing(v0 + 0.9 * (v1 - v0)) - crossing(v0 + 0.1 * (v1 - v0)),
+        monotone=sampled.is_monotone(tolerance=1e-6),
+        overshoot=sampled.overshoot(),
+    )
+
+
+class TestOneScan:
+    """Every level read from one scan equals its one-level call, bitwise."""
+
+    @pytest.mark.parametrize("case", sorted(_nonmonotone_cases()))
+    def test_multi_level_equals_one_level_calls(self, case):
+        circuit, stimuli, node, order, levels = _nonmonotone_cases()[case]
+        waveform = AweAnalyzer(circuit, stimuli).response(node, order=order).waveform
+        directions = [None, True, False]
+        pairs = [(level, rising) for level in levels for rising in directions]
+        crossings = waveform.first_crossings(pairs)
+        for (level, rising), crossing in zip(pairs, crossings):
+            try:
+                expected = waveform.threshold_delay(level, rising)
+            except AnalysisError:
+                assert crossing is None, (level, rising)
+                continue
+            assert crossing == expected, (level, rising)
+
+    def test_early_crossing_from_a_shared_scan(self):
+        waveform = step_response(random_rc_tree(40, seed=15), "6").waveform
+        v1 = waveform.final_value()
+        levels = [(0.1 * v1, True), (0.5 * v1, None), (0.9 * v1, True)]
+        assert waveform.first_crossings(levels) == [
+            waveform.threshold_delay(level, rising) for level, rising in levels]
+
+    def test_default_grid_is_the_scan_grid(self, single_rc):
+        waveform = step_response(single_rc, "1").waveform
+        sampled = waveform.to_waveform()
+        expected = np.linspace(0.0, waveform.suggested_window(), 4000)
+        assert sampled.times.tobytes() == expected.tobytes()
+        levels = [(0.25, True), (0.5, None), (0.75, False)]
+        assert waveform.first_crossings(levels, scan=sampled) == \
+            waveform.first_crossings(levels)
+
+    @pytest.mark.parametrize("case", sorted(_nonmonotone_cases()))
+    def test_measure_delay_is_unchanged(self, case):
+        circuit, stimuli, node, order, levels = _nonmonotone_cases()[case]
+        waveform = AweAnalyzer(circuit, stimuli).response(node, order=order).waveform
+        for threshold in (None, *levels):
+            try:
+                expected = _old_measure_delay(waveform, threshold)
+            except AnalysisError as exc:
+                with pytest.raises(AnalysisError, match=re.escape(str(exc))):
+                    measure_delay(waveform, threshold)
+                continue
+            assert measure_delay(waveform, threshold) == expected
+
+    def test_stage_evaluate_is_unchanged(self):
+        def net(ckt):
+            ckt.add_resistor("Rw1", "drv", "a", 300.0)
+            ckt.add_capacitor("Cw1", "a", "0", 40e-15)
+            ckt.add_resistor("Rw2", "a", "s1", 200.0)
+            ckt.add_resistor("Rw3", "a", "s2", 500.0)
+
+        stage = Stage("g", 1e3, net, [Receiver("s1", 30e-15),
+                                      Receiver("s2", 20e-15, 0.7)])
+        for slew in (0.0, 80e-12):
+            result = stage.evaluate(input_event_time=1e-10, input_slew=slew)
+            for receiver in stage.sinks:
+                waveform = result.responses[receiver.node].waveform
+                threshold = 5.0 * receiver.threshold_fraction
+                assert result.reports[receiver.node] == _old_measure_delay(
+                    waveform, threshold, waveform.final_value())
