@@ -155,15 +155,15 @@ def test_batch_engine_speedup(benchmark):
         return out
 
     engine = BatchEngine()
-    benchmark(lambda: engine.run(jobs, workers=1))
+    benchmark(lambda: engine.run(jobs))
 
     t_seq = best_of(naive_sequential, repeat=2)
-    t_batch = best_of(lambda: engine.run(jobs, workers=4), repeat=2)
+    t_batch = best_of(lambda: engine.run(jobs), repeat=2)
     speedup = t_seq / t_batch
 
     reference = naive_sequential()
     engine.reset_stats()  # so the recorded stats cover exactly one run
-    results = engine.run(jobs, workers=4)
+    results = engine.run(jobs)
     times = np.linspace(0.0, 20e-9, 200)
     for expected, result in zip(reference, results):
         assert result.ok, result.error
@@ -176,7 +176,7 @@ def test_batch_engine_speedup(benchmark):
 
     stats = engine.stats()
     report(
-        "Batch engine — 50 RC-tree jobs (10 nets x 5 sinks), workers=4",
+        "Batch engine — 50 RC-tree jobs (10 nets x 5 sinks), in process",
         [
             ("results", "bit-identical", "bit-identical"),
             ("naive sequential", "one analyzer per job", f"{t_seq*1e3:.1f} ms"),
@@ -190,7 +190,6 @@ def test_batch_engine_speedup(benchmark):
             "jobs": len(jobs),
             "distinct_circuits": 10,
             "tree_nodes": 180,
-            "workers": 4,
             "sequential_time_s": t_seq,
             "batch_time_s": t_batch,
             "speedup": speedup,

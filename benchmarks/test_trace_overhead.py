@@ -96,9 +96,9 @@ def test_null_tracer_overhead_under_two_percent(benchmark):
     assert len(jobs) >= 50
 
     engine = BatchEngine()
-    benchmark(lambda: engine.run(jobs, workers=1))
+    benchmark(lambda: engine.run(jobs))
 
-    t_batch = best_of(lambda: engine.run(jobs, workers=1))
+    t_batch = best_of(lambda: engine.run(jobs))
     calls = count_tracer_calls(jobs)
     assert calls > 0  # the hot path really does go through the tracer
 

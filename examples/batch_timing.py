@@ -3,15 +3,14 @@
 A static-timing pass asks the same question of many nets at once:
 "when does each sink of this interconnect settle?"  This example builds
 ten seeded random RC trees, queries five sinks on each (50 jobs), and
-runs them three ways:
+runs them two ways:
 
 * the naive loop — a fresh `AweAnalyzer` per job,
-* `BatchEngine` inline — one analyzer per *net*, so the MNA assembly,
-  the LU factorisation and the multi-RHS moment recursion are shared by
-  every sink of that net,
-* `BatchEngine` with a process pool (`workers=4`).
+* `BatchEngine` — one analyzer per *net*, so the MNA assembly, the LU
+  factorisation and the multi-RHS moment recursion are shared by every
+  sink of that net.
 
-The three produce bit-identical waveforms; the engine only amortises.
+The two produce bit-identical waveforms; the engine only amortises.
 The instrumentation counters show where the saving comes from, and a
 deliberately broken job demonstrates structured failure isolation.
 
@@ -68,33 +67,26 @@ def main():
     t_naive = time.perf_counter() - start
     print(f"naive loop (fresh analyzer per job):  {t_naive * 1e3:7.1f} ms")
 
-    # 2. The engine, inline: one analyzer per distinct circuit.
+    # 2. The engine: one analyzer per distinct circuit.
     engine = BatchEngine()
     start = time.perf_counter()
-    results = engine.run(jobs, workers=1)
-    t_inline = time.perf_counter() - start
-    print(f"BatchEngine inline (analyzer reuse):  {t_inline * 1e3:7.1f} ms"
-          f"   ({t_naive / t_inline:.1f}x)")
+    results = engine.run(jobs)
+    t_engine = time.perf_counter() - start
+    print(f"BatchEngine (analyzer reuse):         {t_engine * 1e3:7.1f} ms"
+          f"   ({t_naive / t_engine:.1f}x)")
 
-    # 3. The engine over a process pool.
-    start = time.perf_counter()
-    pooled = engine.run(jobs, workers=4)
-    t_pool = time.perf_counter() - start
-    print(f"BatchEngine workers=4 (process pool): {t_pool * 1e3:7.1f} ms"
-          f"   ({t_naive / t_pool:.1f}x)")
-
-    # All three agree to the last bit.
+    # Both agree to the last bit.
     times = np.linspace(0.0, 50e-9, 200)
-    for expected, inline, pool in zip(reference, results, pooled):
+    for expected, result in zip(reference, results):
         for node in expected:
-            a = expected[node].waveform.evaluate(times)
-            assert np.array_equal(a, inline.responses[node].waveform.evaluate(times))
-            assert np.array_equal(a, pool.responses[node].waveform.evaluate(times))
-    print("\nall three runs bit-identical ✓")
+            assert np.array_equal(
+                expected[node].waveform.evaluate(times),
+                result.responses[node].waveform.evaluate(times))
+    print("\nboth runs bit-identical ✓")
 
     # Where the saving came from, in counters.
     stats = engine.stats()
-    print("\ninstrumentation (both engine runs together):")
+    print("\ninstrumentation (the engine run):")
     for key in ("jobs", "distinct_circuits", "analyzers_built",
                 "lu_factorizations", "moment_solves", "moments_computed",
                 "triangular_solves", "solve_columns"):

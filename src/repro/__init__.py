@@ -67,7 +67,6 @@ from repro.errors import (
     StaError,
     TopologyError,
     UnstableApproximationError,
-    WorkerCrashError,
 )
 from repro.instrumentation import SolverStats
 from repro.reduce import Reduction, reduce_circuit
@@ -149,7 +148,6 @@ __all__ = [
     "UnstableApproximationError",
     "VoltageSource",
     "Waveform",
-    "WorkerCrashError",
     "analyze",
     "awe_response",
     "build_report",

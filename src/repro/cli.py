@@ -22,8 +22,7 @@ Installed as ``python -m repro``.  The subcommands:
 ``batch``
     Run several decks through the :class:`~repro.engine.batch.BatchEngine`
     in one shot: per-deck timing rows, structured failure reporting (a bad
-    deck never aborts the batch), optional process-pool fan-out
-    (``--workers``), per-job timeouts, and ``--stats`` solver
+    deck never aborts the batch), per-job timeouts, and ``--stats`` solver
     instrumentation (LU factorisations, triangular solves, moments, wall
     time) emitted as one JSON object on stderr — machine-parseable, never
     interleaved with the per-job table on stdout (``--stats-json PATH``
@@ -55,7 +54,7 @@ Installed as ``python -m repro``.  The subcommands:
 ``serve``
     Run the long-lived analysis daemon: a JSON HTTP API (``POST
     /analyze``, ``POST /sta``, ``GET /healthz``, ``GET /metrics``) over
-    a persistent worker pool with a content-addressed result cache,
+    persistent worker threads with a content-addressed result cache,
     bounded-queue admission control (429 when full), and graceful
     SIGTERM drain.  See ``docs/service.md``.
 
@@ -93,7 +92,7 @@ Examples::
     python -m repro report net1.sp net2.sp --node out --json run.json --markdown run.md
     python -m repro poles net.sp --order 2 --node out --source Vin
     python -m repro simulate net.sp --node out --t-stop 5e-9 --csv out.csv
-    python -m repro batch net1.sp net2.sp --node out --workers 4 --stats
+    python -m repro batch net1.sp net2.sp --node out --stats
     python -m repro fuzz --seeds 200 --shrink --report crashes.json
     python -m repro sta design.json --k 5 --corner slow:wire_r=1.5,cell=1.3
     python -m repro serve --port 8040 --workers 4 --cache-dir /var/cache/repro
@@ -140,8 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--threshold", type=float,
                         help="logic threshold for an extra delay column (V)")
     report.add_argument("--max-order", type=int, default=8)
-    report.add_argument("--workers", type=int, default=1,
-                        help="process-pool width (default 1 = in-process)")
     report.add_argument("--timeout", type=float,
                         help="per-job wall-clock timeout in seconds")
     report.add_argument("--reduce", action="store_true",
@@ -188,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch_group.add_argument("--target", type=float, default=0.01,
                              help="error target for automatic order (default 0.01)")
     batch.add_argument("--max-order", type=int, default=8)
-    batch.add_argument("--workers", type=int, default=1,
-                       help="process-pool width (default 1 = in-process)")
     batch.add_argument("--timeout", type=float,
                        help="per-job wall-clock timeout in seconds")
     batch.add_argument("--reduce", action="store_true",
@@ -272,16 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persist cached reports here (restart-warm cache)")
     serve.add_argument("--timeout", type=float,
                        help="default per-request wall-clock budget in seconds")
-    serve.add_argument("--engine-workers", type=int, default=1,
-                       help="analysis processes per worker thread's engine; "
-                            ">1 enables the self-healing process pool "
-                            "(default 1, in-process)")
-    serve.add_argument("--degraded-threshold", type=int, default=3,
-                       help="consecutive worker-crash requests before "
-                            "/healthz flips to degraded (default 3)")
     serve.add_argument("--faults", metavar="SPEC",
                        help="install a fault-injection plan for this process, "
-                            "e.g. 'worker_crash=1:x1,http_503=0.1' "
+                            "e.g. 'slow_job=1:x1,http_503=0.1' "
                             "(testing only; see docs/service.md)")
     serve.add_argument("--fault-seed", type=int, default=0,
                        help="seed for the fault plan's probability draws "
@@ -338,9 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--degraded-threshold", type=int, default=3,
                          help="consecutive forward failures before a shard "
                               "is shed (default 3)")
-    gateway.add_argument("--shard-engine-workers", type=int, default=1,
-                         help="process-pool width inside each shard "
-                              "(default 1)")
     gateway.add_argument("--shard-queue-size", type=int, default=64,
                          help="admission bound of each shard daemon "
                               "(default 64)")
@@ -503,7 +488,7 @@ def cmd_report(args) -> int:
             )
         )
 
-    engine = BatchEngine(workers=args.workers, timeout=args.timeout)
+    engine = BatchEngine(timeout=args.timeout)
     results = engine.run(jobs, trace=document_mode)
     failures = [result for result in results if not result.ok]
 
@@ -633,10 +618,10 @@ def cmd_batch(args) -> int:
             )
         )
 
-    engine = BatchEngine(workers=args.workers, timeout=args.timeout)
+    engine = BatchEngine(timeout=args.timeout)
     results = engine.run(jobs)
 
-    print(f"batch: {len(jobs)} job(s), {args.workers} worker(s)")
+    print(f"batch: {len(jobs)} job(s)")
     print(f"  {'deck':<24} {_table_header(None)}")
     failed = len(parse_failures)
     for result in results:
@@ -822,8 +807,6 @@ def cmd_serve(args) -> int:
         print(f"  workers={args.workers} queue_size={args.queue_size} "
               f"cache_bytes={args.cache_bytes}"
               + (f" cache_dir={args.cache_dir}" if args.cache_dir else "")
-              + (f" engine_workers={args.engine_workers}"
-                 if args.engine_workers != 1 else "")
               + (f" faults={args.faults!r}" if args.faults else ""),
               flush=True)
 
@@ -835,8 +818,6 @@ def cmd_serve(args) -> int:
         cache_bytes=args.cache_bytes,
         cache_dir=args.cache_dir,
         timeout=args.timeout,
-        engine_workers=args.engine_workers,
-        degraded_threshold=args.degraded_threshold,
         fault_spec=args.faults,
         fault_seed=args.fault_seed,
         announce=announce,
@@ -901,7 +882,6 @@ def cmd_gateway(args) -> int:
         cache_dir=args.cache_dir,
         timeout=args.timeout,
         degraded_threshold=args.degraded_threshold,
-        shard_engine_workers=args.shard_engine_workers,
         shard_queue_size=args.shard_queue_size,
         fault_spec=args.faults,
         fault_seed=args.fault_seed,

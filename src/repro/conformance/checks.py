@@ -432,7 +432,7 @@ def check_batch_vs_sequential(case: FuzzCase, config: FuzzConfig) -> list[str]:
     job = AweJob(case.circuit, case.nodes, stimuli=case.stimuli,
                  error_target=config.error_target, max_order=config.max_order,
                  response_options=options)
-    result = BatchEngine().run([job], workers=1)[0]
+    result = BatchEngine().run([job])[0]
     if not result.ok:
         return [f"batch engine failed where the sequential path works: "
                 f"[{result.error_type}] {result.error}"]

@@ -4,48 +4,41 @@ The paper's throughput pitch (Sec. IV, Fig. 19) is that AWE reduces each
 net's timing to "a succession of dc solutions" — cheap enough to run on
 thousands of nets.  This module supplies the missing fan-out layer: an
 :class:`AweJob` describes one net's analysis, and :class:`BatchEngine`
-runs many of them with
+runs many of them in process with
 
 * **analyzer reuse** — jobs on the same circuit object share one
   :class:`~repro.core.driver.AweAnalyzer`, so the expensive
   output-independent work (MNA assembly, LU factorisation, the batched
   moment recursion) is paid once per distinct circuit, not once per job;
-* **process-pool parallelism** — ``run(jobs, workers=N)`` fans circuit
-  groups out over a :class:`concurrent.futures.ProcessPoolExecutor`
-  (``workers <= 1`` runs inline with zero IPC overhead);
 * **per-job isolation** — a failing or timed-out job yields a structured
   failure :class:`BatchResult`; it never aborts the batch;
-* **self-healing pool** — a worker-process death (``BrokenProcessPool``)
-  triggers one pool rebuild that re-runs only the jobs lost in flight;
-  jobs lost twice become ``WorkerCrashError`` failure records and the
-  rebuild is counted in ``stats()["pool_rebuilds"]``;
-* **instrumentation** — per-worker
+* **instrumentation** — per-circuit
   :class:`~repro.instrumentation.SolverStats` are merged into the
   engine's :meth:`BatchEngine.stats` view (also surfaced by
   ``python -m repro batch --stats``).
 
-Determinism: the numbers a job produces are independent of ``workers``,
-of how jobs are grouped, and of the order the pool completes them — every
-job runs the same :class:`AweAnalyzer` code path, and results are
-reordered to match the input job order.
+Process parallelism lives one level up: the gateway's shards
+(:mod:`repro.gateway`) are separate ``repro serve`` processes, each
+running its own engine.
+
+Determinism: the numbers a job produces are independent of how jobs are
+grouped — every job runs the same :class:`AweAnalyzer` code path — and
+results come back in the input job order.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
-import os
 import signal
 import threading
 import time
-import traceback
 from contextlib import contextmanager
 
 from repro import faults
 from repro.analysis.sources import Stimulus
 from repro.circuit.netlist import Circuit
 from repro.core.driver import AweAnalyzer, AweResponse
-from repro.errors import BatchTimeoutError, CircuitError, WorkerCrashError
+from repro.errors import BatchTimeoutError, CircuitError
 from repro.instrumentation import SolverStats
 from repro.reduce import reduce_circuit
 from repro.trace import Tracer
@@ -95,8 +88,8 @@ class AweJob:
             raise CircuitError("an AweJob needs at least one output node")
         object.__setattr__(self, "nodes", nodes)
         if not self.label:
-            title = self.circuit.title if self.circuit is not None else "job"
-            object.__setattr__(self, "label", f"{title} @ {','.join(nodes)}")
+            object.__setattr__(
+                self, "label", f"{self.circuit.title} @ {','.join(nodes)}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,8 +104,8 @@ class BatchResult:
     exception's message, or its class name when the message is empty).
 
     ``trace`` is the job's serialized trace record (the plain-dict tree
-    of :meth:`repro.trace.Tracer.to_record` — it crosses the process pool
-    as data) when the run was started with ``trace=True``, else ``None``.
+    of :meth:`repro.trace.Tracer.to_record`) when the run was started
+    with ``trace=True``, else ``None``.
     Rebuild the object form with
     :meth:`repro.trace.TraceSpan.from_record`, or feed it straight to
     :mod:`repro.report`.
@@ -197,31 +190,25 @@ def _deadline(seconds: float | None):
         raise BatchTimeoutError(message)
 
 
-def _execute_group(circuit, entries, timeout, trace=False, attempt=0):
+def _execute_group(entries, timeout, trace, stats: SolverStats):
     """Run one circuit group's jobs sequentially with analyzer reuse.
 
-    ``entries`` is ``[(job_index, stripped_job), ...]`` where the jobs'
-    ``circuit`` field has been cleared so the (possibly large) circuit
-    pickles once per task instead of once per job.  Returns
-    ``(results, stats_dict, analyzers_built)``.
+    ``entries`` is ``[(job_index, job), ...]``, every job on the same
+    circuit object.  The group's solver counters are merged into
+    ``stats`` and its analyzers freed on return.  Returns ``(results,
+    analyzers_built)``.
 
     With ``trace=True`` each job gets its own
     :class:`~repro.trace.Tracer`, swapped onto the (shared) analyzer for
     the job's duration; the serialized record rides back on
     ``BatchResult.trace``.  Shared work (MNA assembly, LU, the batched
     moment recursion) lands in the trace of the job that triggered it.
-
-    ``attempt`` is nonzero when this group is being re-run after a pool
-    rebuild; traced jobs record it as a ``pool_rebuild_retry`` event so
-    a report shows which results survived a worker crash.
     """
     plan = faults.active()
     analyzers: dict = {}
     results: list[BatchResult] = []
     for index, job in entries:
         tracer = Tracer(job.label, job_index=index) if trace else None
-        if trace and attempt:
-            tracer.event("pool_rebuild_retry", attempt=attempt)
         start = time.perf_counter()
         try:
             with _deadline(timeout):
@@ -234,7 +221,7 @@ def _execute_group(circuit, entries, timeout, trace=False, attempt=0):
                 analyzer = analyzers.get(key)
                 if analyzer is None:
                     analyzer = AweAnalyzer(
-                        circuit, job.stimuli, max_order=job.max_order,
+                        job.circuit, job.stimuli, max_order=job.max_order,
                         tracer=tracer,
                     )
                     analyzers[key] = analyzer
@@ -276,52 +263,19 @@ def _execute_group(circuit, entries, timeout, trace=False, attempt=0):
                     trace=tracer.to_record() if trace else None,
                 )
             )
-    stats = SolverStats()
     for analyzer in analyzers.values():
         stats.merge(analyzer.system.stats)
-    return results, stats.as_dict(), len(analyzers)
-
-
-def _pool_task(payload):
-    """Picklable pool entry point.
-
-    ``payload`` is ``(circuit, entries, timeout, trace, attempt,
-    inject_crash)``.  The crash decision is drawn in the *parent* (see
-    :meth:`BatchEngine._run_pool`) so a capped ``worker_crash`` probe
-    keeps its count across pool rebuilds; this side only executes it.
-    """
-    circuit, entries, timeout, trace, attempt, inject_crash = payload
-    if inject_crash:
-        # A hard worker death: no exception, no cleanup — exactly what a
-        # segfault or OOM kill looks like to the parent (BrokenProcessPool).
-        os._exit(13)
-    return _execute_group(circuit, entries, timeout, trace, attempt)
-
-
-def _crash_failures(entries, exc):
-    """Failure records for a chunk whose worker died past the retry."""
-    message = "".join(traceback.format_exception_only(exc)).strip()
-    return [
-        BatchResult(
-            index=index,
-            label=job.label,
-            responses=None,
-            error=f"worker died (pool already rebuilt once): {message}",
-            error_type=WorkerCrashError.__name__,
-        )
-        for index, job in entries
-    ]
+    return results, len(analyzers)
 
 
 class BatchEngine:
-    """Run many :class:`AweJob`\\ s with analyzer reuse and fan-out.
+    """Run many :class:`AweJob`\\ s in process with analyzer reuse.
 
     Parameters
     ----------
     workers:
-        Default parallelism for :meth:`run`.  ``1`` (default) executes
-        inline in the calling process; ``N > 1`` fans circuit groups out
-        over an ``N``-worker process pool.
+        Must be 1: jobs run in the calling process.  Process parallelism
+        comes from the gateway's shards (``repro gateway --shards N``).
     timeout:
         Default per-job wall-clock timeout in seconds (``None`` = no
         limit).  A timed-out job becomes a failure record with
@@ -332,7 +286,11 @@ class BatchEngine:
     """
 
     def __init__(self, workers: int = 1, timeout: float | None = None):
-        self.workers = workers
+        if workers != 1:
+            raise ValueError(
+                f"BatchEngine runs in process (workers=1), got {workers!r}; "
+                "for process parallelism run gateway shards "
+                "(repro gateway --shards N)")
         self.timeout = timeout
         self._solver_stats = SolverStats()
         self._engine_stats: dict[str, float] = {
@@ -341,7 +299,6 @@ class BatchEngine:
             "distinct_circuits": 0,
             "analyzers_built": 0,
             "runs": 0,
-            "pool_rebuilds": 0,
             "batch_wall_time_s": 0.0,
         }
 
@@ -350,7 +307,6 @@ class BatchEngine:
     def run(
         self,
         jobs,
-        workers: int | None = None,
         timeout: float | None = None,
         trace: bool = False,
     ) -> list[BatchResult]:
@@ -362,33 +318,25 @@ class BatchEngine:
         ``trace=True`` records one hierarchical trace per job (wall-time
         spans, counter deltas, escalation events — see
         ``docs/observability.md``) and returns it on each result's
-        ``trace`` field as a serialized record, including across the
-        process pool."""
+        ``trace`` field as a serialized record."""
         jobs = list(jobs)
         for job in jobs:
             if not isinstance(job, AweJob):
                 raise CircuitError(f"expected an AweJob, got {type(job).__name__}")
         if not jobs:
             return []
-        workers = self.workers if workers is None else workers
         timeout = self.timeout if timeout is None else timeout
         jobs = self._apply_reduction(jobs)
 
         start = time.perf_counter()
         groups = self._group_by_circuit(jobs)
-        chunks = self._chunk(groups, workers)
-        rebuilds = 0
-        if workers <= 1:
-            outcomes = [_execute_group(*chunk, timeout, trace) for chunk in chunks]
-        else:
-            outcomes, rebuilds = self._run_pool(chunks, workers, timeout, trace)
-
         results: list[BatchResult | None] = [None] * len(jobs)
         builds = 0
-        for chunk_results, stats_dict, chunk_builds in outcomes:
-            self._solver_stats.merge(stats_dict)
-            builds += chunk_builds
-            for result in chunk_results:
+        for entries in groups:
+            group_results, group_builds = _execute_group(
+                entries, timeout, trace, self._solver_stats)
+            builds += group_builds
+            for result in group_results:
                 results[result.index] = result
 
         failed = sum(1 for r in results if not r.ok)
@@ -397,7 +345,6 @@ class BatchEngine:
         self._engine_stats["distinct_circuits"] += len(groups)
         self._engine_stats["analyzers_built"] += builds
         self._engine_stats["runs"] += 1
-        self._engine_stats["pool_rebuilds"] += rebuilds
         self._engine_stats["batch_wall_time_s"] += time.perf_counter() - start
         return results
 
@@ -423,8 +370,8 @@ class BatchEngine:
         of those jobs' output nodes as taps, and every such job is
         rewritten onto the *same* reduced circuit — so
         :meth:`_group_by_circuit`'s identity grouping (and therefore
-        analyzer reuse and once-per-task pickling) still applies after
-        reduction.  A no-op reduction keeps the original object.
+        analyzer reuse) still applies after reduction.  A no-op
+        reduction keeps the original object.
         """
         if not any(job.reduce for job in jobs):
             return jobs
@@ -447,98 +394,9 @@ class BatchEngine:
 
     @staticmethod
     def _group_by_circuit(jobs):
-        """Group jobs by circuit *identity*, preserving first-seen order,
-        stripping the circuit out of each job so it pickles once."""
-        groups: dict[int, tuple[Circuit, list]] = {}
+        """Group ``(index, job)`` pairs by circuit *identity*, preserving
+        first-seen order."""
+        groups: dict[int, list] = {}
         for index, job in enumerate(jobs):
-            key = id(job.circuit)
-            if key not in groups:
-                groups[key] = (job.circuit, [])
-            groups[key][1].append(
-                (index, dataclasses.replace(job, circuit=None, label=job.label))
-            )
+            groups.setdefault(id(job.circuit), []).append((index, job))
         return list(groups.values())
-
-    @staticmethod
-    def _chunk(groups, workers):
-        """Split circuit groups into pool tasks.
-
-        One task per group when there are at least as many groups as
-        workers; otherwise each group is split into up to
-        ``ceil(workers / n_groups)`` slices so a few large groups can
-        still use every worker (at the cost of re-analysing the shared
-        circuit once per slice)."""
-        per_group = max(1, -(-max(workers, 1) // len(groups)))
-        chunks = []
-        for circuit, entries in groups:
-            slices = min(per_group, len(entries))
-            size = -(-len(entries) // slices)
-            for at in range(0, len(entries), size):
-                chunks.append((circuit, entries[at:at + size]))
-        return chunks
-
-    @staticmethod
-    def _run_pool(chunks, workers, timeout, trace=False):
-        """Fan chunks out over a self-healing process pool.
-
-        A dead worker breaks the whole ``ProcessPoolExecutor`` (every
-        in-flight and queued future raises ``BrokenProcessPool``), so a
-        single crash must not cost every unfinished job: the chunks that
-        were lost in flight are collected, the pool is rebuilt **once**,
-        and only those chunks are re-run.  Chunks lost a second time
-        become structured failure records (``error_type ==
-        "WorkerCrashError"``) — the engine degrades, it never raises.
-
-        Returns ``(outcomes, pool_rebuilds)``.
-        """
-        try:
-            import multiprocessing
-
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            context = None
-        plan = faults.active()
-        outcomes = []
-        rebuilds = 0
-        pending = [(circuit, entries, 0) for circuit, entries in chunks]
-        while pending:
-            lost = []
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(workers, len(pending)), mp_context=context
-            ) as pool:
-                futures = {}
-                for circuit, entries, attempt in pending:
-                    # Drawn here, parent side, so a capped probe (x1)
-                    # stays exhausted across rebuilds — the retry then
-                    # demonstrably recovers instead of re-crashing.
-                    crash = plan.enabled and plan.fire("worker_crash")
-                    future = pool.submit(
-                        _pool_task,
-                        (circuit, entries, timeout, trace, attempt, crash))
-                    futures[future] = (circuit, entries, attempt)
-                for future in concurrent.futures.as_completed(futures):
-                    circuit, entries, attempt = futures[future]
-                    try:
-                        outcomes.append(future.result())
-                    except concurrent.futures.BrokenExecutor as exc:
-                        if attempt == 0:
-                            lost.append((circuit, entries))
-                        else:
-                            outcomes.append((_crash_failures(entries, exc), {}, 0))
-                    except Exception as exc:  # e.g. an unpicklable result
-                        failures = [
-                            BatchResult(
-                                index=index,
-                                label=job.label,
-                                responses=None,
-                                error=f"worker failed: {exc}",
-                                error_type=type(exc).__name__,
-                            )
-                            for index, job in entries
-                        ]
-                        outcomes.append((failures, {}, 0))
-            if not lost:
-                break
-            rebuilds += 1
-            pending = [(circuit, entries, 1) for circuit, entries in lost]
-        return outcomes, rebuilds

@@ -110,14 +110,3 @@ class StaError(ReproError):
     unsatisfiable analysis requests.  The service layer maps it to
     HTTP 400 when it occurs while parsing a ``POST /sta`` body.
     """
-
-
-class WorkerCrashError(ReproError):
-    """A pool worker process died and the one rebuild retry failed too.
-
-    The :class:`~repro.engine.batch.BatchEngine` treats a broken process
-    pool as recoverable: it rebuilds the pool once and re-runs only the
-    jobs that were lost in flight.  Jobs that are lost *again* after the
-    rebuild become failure records with this ``error_type`` — the signal
-    the service layer counts toward its degraded state.
-    """

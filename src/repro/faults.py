@@ -12,7 +12,7 @@ monkeypatching:
   probability, an optional numeric argument (a delay, a Retry-After
   hint), and an optional cap on how many times it may fire;
 * a :class:`FaultPlan` is a named set of probes parsed from a compact
-  spec string (``"worker_crash=1:x1,http_429=0.1:0.05"``), seeded so the
+  spec string (``"shard_crash=1:x1,http_429=0.1:0.05"``), seeded so the
   same spec + seed yields the same firing sequence;
 * production code consults :func:`active`, which returns the shared
   :data:`NO_FAULTS` no-op unless a plan was installed explicitly
@@ -24,10 +24,6 @@ monkeypatching:
 Probe names the stack hooks today (see the call sites):
 
 ===================  ====================================================
-``worker_crash``     a :class:`~repro.engine.batch.BatchEngine` pool task
-                     hard-kills its worker process (``os._exit``) —
-                     drawn in the *parent* per submitted chunk so a
-                     ``:xN`` cap survives pool rebuilds
 ``slow_job``         a batch job sleeps ``arg`` seconds (default 0.25)
                      before running
 ``cache_io_store``   :meth:`~repro.service.cache.ResultCache.put`'s disk
@@ -73,7 +69,6 @@ ENV_SPEC = "REPRO_FAULTS"
 ENV_SEED = "REPRO_FAULTS_SEED"
 
 KNOWN_PROBES = frozenset({
-    "worker_crash",
     "slow_job",
     "cache_io_store",
     "cache_io_load",
@@ -292,8 +287,6 @@ def active() -> "FaultPlan | NoFaults":
     Resolved once, lazily: an installed plan wins; otherwise the
     ``REPRO_FAULTS`` environment variable (seeded by
     ``REPRO_FAULTS_SEED``) is parsed; otherwise :data:`NO_FAULTS`.
-    Forked pool workers inherit the parent's resolved plan; spawned ones
-    re-resolve from the environment.
     """
     global _active
     plan = _active

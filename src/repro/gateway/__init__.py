@@ -1,10 +1,11 @@
 """Sharded gateway: a key-routed scale-out front end for the analysis
 service.
 
-One daemon (:mod:`repro.service`) is one engine pool and one cache.
-This package puts a front door over N of them, built on the daemon's
-own server core (the endpoint table, the request skeleton, the health
-policy and the stdlib HTTP front of :mod:`repro.service.server`):
+One daemon (:mod:`repro.service`) is one process and one cache.
+This package puts a front door over N of them — the shards are the
+unit of process parallelism — built on the daemon's own server core
+(the endpoint table, the request skeleton, the health policy and the
+stdlib HTTP front of :mod:`repro.service.server`):
 
 * :mod:`repro.gateway.routing` — key-affinity placement: requests are
   routed by the same canonical SHA-256 request key that names their

@@ -1,8 +1,8 @@
 """The sharded gateway: one front door over N analysis daemons.
 
 The daemon (:mod:`repro.service.server`) amortises work *within* one
-process: a hot engine pool and a content-addressed cache.  This module
-amortises across processes — the paper's "moments are cheap once
+process: hot in-process engines and a content-addressed cache.  This
+module amortises across processes — the paper's "moments are cheap once
 factored" economics applied to a fleet::
 
     clients ──► gateway (the daemon's HTTP front, a thread per connection)
@@ -152,8 +152,8 @@ class GatewayService(ServerCore):
     degraded_threshold:
         Consecutive transport-level forward failures that mark a shard
         degraded (shed-load + canary probing).
-    shard_engine_workers / shard_queue_size:
-        ``--engine-workers`` and ``--queue-size`` of each spawned shard.
+    shard_queue_size:
+        ``--queue-size`` of each spawned shard.
     tracer:
         Optional :class:`~repro.trace.Tracer` receiving gateway events.
     """
@@ -165,7 +165,6 @@ class GatewayService(ServerCore):
                  cache_dir: str | None = None,
                  timeout: float | None = None,
                  degraded_threshold: int = 3,
-                 shard_engine_workers: int = 1,
                  shard_queue_size: int = 64,
                  tracer=None):
         if shard_urls is None and shards < 1:
@@ -173,14 +172,14 @@ class GatewayService(ServerCore):
         super().__init__(
             ResultCache(max_bytes=cache_bytes, directory=cache_dir),
             timeout,
-            counters=("coalesced_requests", "shard_errors", "shard_restarts",
-                      "canon_memo_hits"))
+            counters=("rejected_degraded", "coalesced_requests",
+                      "shard_errors", "shard_restarts", "canon_memo_hits"))
         if shard_urls is not None:
             self._shards = [AttachedShard(url) for url in shard_urls]
         else:
             self._shards = [
-                ShardProcess(index, engine_workers=shard_engine_workers,
-                             queue_size=shard_queue_size, cache_dir=cache_dir)
+                ShardProcess(index, queue_size=shard_queue_size,
+                             cache_dir=cache_dir)
                 for index in range(shards)]
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._health = [Health(degraded_threshold) for _ in self._shards]
@@ -435,7 +434,6 @@ def serve_gateway(host: str = "127.0.0.1", port: int = 8050, *,
                   cache_dir: str | None = None,
                   timeout: float | None = None,
                   degraded_threshold: int = 3,
-                  shard_engine_workers: int = 1,
                   shard_queue_size: int = 64,
                   fault_spec: str | None = None, fault_seed: int = 0,
                   announce=None) -> int:
@@ -453,7 +451,6 @@ def serve_gateway(host: str = "127.0.0.1", port: int = 8050, *,
         shards, host=host, port=port, cache_bytes=cache_bytes,
         cache_dir=cache_dir, timeout=timeout,
         degraded_threshold=degraded_threshold,
-        shard_engine_workers=shard_engine_workers,
         shard_queue_size=shard_queue_size,
     ).serve_forever(announce=announce)
     return 0

@@ -3,8 +3,8 @@
 A shard is one ordinary analysis daemon (:mod:`repro.service.server`)
 run as a child process — the gateway adds nothing to the worker side, so
 every daemon behaviour (admission control, per-request deadlines,
-degraded mode, ``/metrics``) holds per shard and is observable through
-it.  This module handles only process lifecycle:
+``/metrics``) holds per shard and is observable through it.  This
+module handles only process lifecycle:
 
 * :class:`ShardProcess` spawns ``python -m repro serve --port 0``,
   parses the ``repro service listening on URL`` announce line to learn
@@ -114,10 +114,9 @@ class ShardProcess:
 
     owned = True
 
-    def __init__(self, index: int, *, engine_workers: int = 1,
-                 queue_size: int = 64, cache_dir: str | None = None):
+    def __init__(self, index: int, *, queue_size: int = 64,
+                 cache_dir: str | None = None):
         self.index = index
-        self.engine_workers = engine_workers
         self.queue_size = queue_size
         self.cache_dir = cache_dir
         self.url: str | None = None
@@ -130,7 +129,6 @@ class ShardProcess:
         command = [
             sys.executable, "-m", "repro", "serve",
             "--host", "127.0.0.1", "--port", "0", "--workers", "1",
-            "--engine-workers", str(self.engine_workers),
             "--queue-size", str(self.queue_size),
         ]
         if self.cache_dir is not None:

@@ -15,16 +15,16 @@ parser, key function, worker function, clean-result rule) read by the
 router, :meth:`ServerCore.submit`, the single worker path and the
 gateway's canonicalizer, so a new endpoint is one row;
 :class:`ServerCore`, the request skeleton with its counters, drain,
-fault probes, ``/healthz`` and ``/metrics``; :class:`Health`, the one
-degraded/canary policy; and :class:`HttpFront`, the one stdlib HTTP
-front and foreground runner.  :mod:`repro.gateway.server` builds on all
-four.
+fault probes, ``/healthz`` and ``/metrics``; :class:`Health`, the
+degraded/canary policy the gateway keeps per shard; and
+:class:`HttpFront`, the one stdlib HTTP front and foreground runner.
+:mod:`repro.gateway.server` builds on all four.
 
-Each worker owns one persistent :class:`~repro.engine.batch.BatchEngine`
-— the pool survives across requests, so engine/solver counters accumulate
-into a service-lifetime view that ``GET /metrics`` reports alongside the
-cache and queue counters.  Every request is traced, so a client receives
-the same validated document (``repro.run-report/1``,
+Each worker thread owns one persistent, in-process
+:class:`~repro.engine.batch.BatchEngine`, so engine/solver counters
+accumulate into a service-lifetime view that ``GET /metrics`` reports
+alongside the cache and queue counters.  Every request is traced, so a
+client receives the same validated document (``repro.run-report/1``,
 ``repro.sta-report/1``, ``repro.sweep-report/1``) the in-process API
 would have produced, cached bit-for-bit when clean.
 
@@ -34,21 +34,8 @@ the recent per-job wall time — the backlog can never grow without bound.
 ``SIGTERM`` triggers a graceful drain: requests already accepted run to
 completion and their reports are returned; new work is refused with 503
 (cache hits are still served); the process exits once the queue is empty.
-
-Degraded mode (self-protection under worker crashes)
-----------------------------------------------------
-With ``engine_workers > 1`` each analysis fans out over a process pool;
-a pool-worker death is absorbed by the engine's self-healing rebuild
-(``pool_rebuilds`` in ``/metrics``), and a request whose jobs are *still*
-lost after the rebuild counts as a worker-crash request.  After
-``degraded_threshold`` consecutive crash requests the service flips
-``/healthz`` to a 503 ``degraded`` state and sheds load: while degraded,
-one request (the canary) is admitted at a time and the rest are refused
-immediately with 503 + ``Retry-After`` instead of queueing behind a
-crashing pool; requests queued before the flip still run, but only the
-canary's own completion lets the next canary in.  The first request
-that completes without a crash clears the state.  Cache hits are always
-served.
+One daemon is one process; the gateway's shards are the unit of process
+parallelism.
 
 Fault injection (``repro.faults``) hooks the HTTP boundary here: the
 ``http_429`` / ``http_503`` / ``http_timeout`` probes fire at the top of
@@ -72,7 +59,7 @@ from typing import Callable, NamedTuple
 from repro import faults
 from repro.circuit.parser import parse_netlist
 from repro.engine import AweJob, BatchEngine
-from repro.errors import ReproError, WorkerCrashError
+from repro.errors import ReproError
 from repro.instrumentation import SolverStats
 from repro.report import (
     build_report,
@@ -278,8 +265,7 @@ def _sweep_key(params: dict) -> str:
 
 
 def _run_analyze(params: dict, engine: BatchEngine, remaining, parse_s):
-    """Run one analysis on the worker's engine; the crash verdict says
-    whether jobs were lost even after the engine's pool rebuild."""
+    """Run one analysis on the worker's engine."""
     deck = params["deck"]
     job = AweJob(deck.circuit, params["nodes"], stimuli=deck.stimuli,
                  order=params["order"], error_target=params["error_target"],
@@ -289,29 +275,25 @@ def _run_analyze(params: dict, engine: BatchEngine, remaining, parse_s):
     results = engine.run([job], trace=True, timeout=remaining)
     stats_delta = {name: value - stats_before.get(name, 0)
                    for name, value in engine.stats().items()}
-    document = validate_report(build_report(
+    return validate_report(build_report(
         results, engine_stats=stats_delta,
         parse_seconds={params["label"]: parse_s},
         threshold=params["threshold"]))
-    crashed = any(result.error_type == WorkerCrashError.__name__
-                  for result in results)
-    return document, crashed
 
 
 def _run_sta(params: dict, engine: BatchEngine, remaining, parse_s):
-    """Run the STA engine.  It never touches the process pool, so it
-    gives no crash verdict (``None``)."""
+    """Run the STA engine."""
     tracer = Tracer(name="sta", design=params["design"].name)
     run = run_sta(params["design"], library=params["library"], k=params["k"],
                   corners=params["corners"],
                   interconnect=params["interconnect"], tracer=tracer)
     return validate_sta_report(build_sta_report(
-        run, trace=tracer.to_record(), parse_s=parse_s)), None
+        run, trace=tracer.to_record(), parse_s=parse_s))
 
 
 def _run_sweep(params: dict, engine: BatchEngine, remaining, parse_s):
     """Build the incremental sweep engine once and evaluate every plan
-    point.  Off the process pool, like STA: no crash verdict."""
+    point."""
     plan = params["plan"]
     tracer = Tracer(name="sweep", deck=params["label"],
                     points=len(plan.points))
@@ -319,7 +301,7 @@ def _run_sweep(params: dict, engine: BatchEngine, remaining, parse_s):
     result = SweepEngine(deck.circuit, deck.stimuli,
                          tracer=tracer).evaluate(plan)
     return validate_sweep_report(build_sweep_report(
-        result, trace=tracer.to_record(), parse_s=parse_s)), None
+        result, trace=tracer.to_record(), parse_s=parse_s))
 
 
 def _jobs_clean(document: dict) -> bool:
@@ -339,8 +321,7 @@ class Endpoint(NamedTuple):
     #: ``params -> key``: the content address naming the cache entry
     #: and choosing the gateway shard.
     key: Callable
-    #: ``(params, engine, remaining_s, parse_s) -> (document, crashed)``;
-    #: ``crashed`` is ``None`` for work that never touches the pool.
+    #: ``(params, engine, remaining_s, parse_s) -> document``.
     run: Callable
     #: ``document -> bool``: a clean result is cached and counted ok;
     #: ``None`` when every result is clean (no document need be read).
@@ -377,8 +358,8 @@ def canonicalize(kind: str, raw: bytes):
 class Health:
     """A consecutive-failure threshold with one canary.
 
-    ``threshold`` consecutive failures mark the subject (the daemon's
-    worker pool, or one gateway shard) degraded.  While degraded,
+    ``threshold`` consecutive failures mark the subject (one gateway
+    shard) degraded.  While degraded,
     :meth:`admit` lets one request through at a time as the canary and
     refuses the rest; the first success clears the state.  Requests
     admitted before the degradation still settle, but only the canary's
@@ -454,8 +435,8 @@ class ServerCore:
         self._started_at = time.monotonic()
         self._counters = dict.fromkeys(
             ("requests_total", "requests_ok", "requests_failed",
-             "bad_requests", "rejected_draining", "rejected_degraded",
-             "request_timeouts", "faults_injected", *counters), 0)
+             "bad_requests", "rejected_draining", "request_timeouts",
+             "faults_injected", *counters), 0)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -616,33 +597,18 @@ class AnalysisService(ServerCore):
         Default per-request wall-clock budget in seconds (queue wait +
         analysis); a request's own ``timeout`` field overrides it.
         ``None`` means unlimited.
-    engine_workers:
-        Process-pool width of each worker thread's
-        :class:`~repro.engine.batch.BatchEngine` (default 1 = in-process
-        analysis; > 1 adds per-request fan-out and, with it, the
-        self-healing pool-rebuild path).
-    degraded_threshold:
-        Consecutive worker-crash requests that flip the service into the
-        degraded (shed-load) state; the first clean request clears it.
     """
 
     def __init__(self, workers: int = 2, queue_size: int = 16,
                  cache: ResultCache | None = None,
-                 timeout: float | None = None,
-                 engine_workers: int = 1,
-                 degraded_threshold: int = 3):
+                 timeout: float | None = None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
         if queue_size < 1:
             raise ValueError(f"queue_size must be >= 1, got {queue_size!r}")
-        if engine_workers < 1:
-            raise ValueError(
-                f"engine_workers must be >= 1, got {engine_workers!r}")
         super().__init__(cache if cache is not None else ResultCache(),
                          timeout, counters=("rejected_queue_full",))
         self.workers = workers
-        self.engine_workers = engine_workers
-        self.health = Health(degraded_threshold)
         self._queue: queue_module.Queue = queue_module.Queue(maxsize=queue_size)
         self._engines: list[BatchEngine] = []
         self._threads: list[threading.Thread] = []
@@ -657,12 +623,12 @@ class AnalysisService(ServerCore):
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> "AnalysisService":
-        """Spawn the worker pool (idempotent)."""
+        """Start the worker threads (idempotent)."""
         if self._threads:
             return self
         self._started_at = time.monotonic()
         for number in range(self.workers):
-            engine = BatchEngine(workers=self.engine_workers)
+            engine = BatchEngine()
             self._engines.append(engine)
             thread = threading.Thread(
                 target=self._worker, args=(engine,),
@@ -695,20 +661,10 @@ class AnalysisService(ServerCore):
             self._count("rejected_draining")
             return 503, error_body(
                 503, "service is draining and no longer accepts work"), {}
-        canary = self.health.admit()
-        if canary is None:
-            # Degraded shed-load: a fast 503 with a hint beats a request
-            # hanging behind a crashing pool.
-            self._count("rejected_degraded")
-            retry_after = max(1, math.ceil(self._avg_job_s[kind] * 2))
-            return 503, error_body(
-                503, "service is degraded after repeated worker crashes; "
-                     "shedding load while one canary request probes "
-                     "recovery"), {"Retry-After": str(retry_after)}
         # One accepted request travels handler → worker → handler with
         # its deadline (monotonic seconds, or None) and its answer.
         future = futures.Future()
-        job = (future, canary, kind, key, params,
+        job = (future, kind, key, params,
                None if budget is None else started + budget)
         with self._idle:
             # Admission and the in-flight count move together so a drain
@@ -719,15 +675,10 @@ class AnalysisService(ServerCore):
                 self._counters["rejected_queue_full"] += 1
                 retry_after = max(1, math.ceil(
                     self._avg_job_s[kind] * (self._queue.qsize() + 1)))
-                refused = True
-            else:
-                self._in_flight += 1
-                refused = False
-        if refused:
-            self.health.record(None, canary)  # free the canary slot
-            return 429, error_body(
-                429, "analysis queue is full; retry later"), {
-                "Retry-After": str(retry_after)}
+                return 429, error_body(
+                    429, "analysis queue is full; retry later"), {
+                    "Retry-After": str(retry_after)}
+            self._in_flight += 1
         # The wall-clock backstop: the engine's own deadline machinery is
         # preemptive only where SIGALRM is available (it degrades to a
         # no-op off the main thread), so the handler authoritatively
@@ -738,15 +689,14 @@ class AnalysisService(ServerCore):
     # -- introspection -------------------------------------------------
 
     def _health_fields(self):
-        return self.health.degraded, {
+        return False, {
             "workers": self.workers,
             "queue_depth": self._queue.qsize(),
-            "consecutive_worker_failures": self.health.consecutive,
         }
 
     def _metrics_fields(self) -> dict:
-        """The worker pool's state plus the cumulative engine + solver
-        instrumentation merged across it (same fields as
+        """The worker threads' state plus the cumulative engine + solver
+        instrumentation merged across their engines (same fields as
         ``BatchEngine.stats()``)."""
         solver = SolverStats()
         for engine in self._engines:
@@ -757,9 +707,6 @@ class AnalysisService(ServerCore):
                          for kind, value in self._avg_job_s.items()}
         return {
             "avg_job_s": avg_job_s,
-            "engine_workers": self.engine_workers,
-            "worker_crash_requests": self.health.failures,
-            "degraded_entries": self.health.entries,
             "queue_capacity": self._queue.maxsize,
             "in_flight": in_flight,
             "solver": solver.as_dict(),
@@ -772,16 +719,13 @@ class AnalysisService(ServerCore):
             job = self._queue.get()
             if job is _STOP:
                 return
-            future, canary = job[:2]
-            result, crashed = None, None
+            future, *request = job
+            result = None
             try:
                 # A cancelled job's client already received its 504:
                 # don't burn a worker on it.
                 if future.set_running_or_notify_cancel():
-                    result, crashed = self._process(engine, *job[2:])
-                # Settle health before replying, so a client that reads
-                # /healthz right after its answer sees this request.
-                self.health.record(crashed, canary)
+                    result = self._process(engine, *request)
             finally:
                 with self._idle:
                     self._in_flight -= 1
@@ -790,31 +734,30 @@ class AnalysisService(ServerCore):
                 future.set_result(result)
 
     def _process(self, engine: BatchEngine, kind, key, params, deadline):
-        """The single worker path, for every endpoint: ``(result,
-        crashed)`` where ``result`` is ``(status, body, headers,
-        clean)``."""
+        """The single worker path, for every endpoint: ``(status, body,
+        headers, clean)``."""
         remaining = None
         if deadline is not None:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return (504, error_body(504, "request timed out while queued"),
-                        {}, False), None
+                        {}, False)
         endpoint = ENDPOINTS[kind]
         started = time.monotonic()
         try:
-            document, crashed = endpoint.run(params, engine, remaining,
-                                             params["parse_s"])
+            document = endpoint.run(params, engine, remaining,
+                                    params["parse_s"])
             clean = endpoint.clean is None or endpoint.clean(document)
             body = (json.dumps(document, indent=2) + "\n").encode("utf-8")
         except Exception as exc:  # defensive: a worker must never die
             return (500, error_body(500, f"internal analysis error: {exc}",
-                                    type(exc).__name__), {}, False), None
+                                    type(exc).__name__), {}, False)
         if clean:
             self.cache.put(key, body)
         with self._lock:
             self._avg_job_s[kind] += 0.3 * (
                 time.monotonic() - started - self._avg_job_s[kind])
-        return (200, body, {}, clean), crashed
+        return 200, body, {}, clean
 
 
 # ----------------------------------------------------------------------
@@ -1056,7 +999,6 @@ class ServiceServer(HttpFront):
 def serve(host: str = "127.0.0.1", port: int = 8040, *, workers: int = 2,
           queue_size: int = 16, cache_bytes: int = 64 * 1024 * 1024,
           cache_dir: str | None = None, timeout: float | None = None,
-          engine_workers: int = 1, degraded_threshold: int = 3,
           fault_spec: str | None = None, fault_seed: int = 0,
           announce=None) -> int:
     """Blocking daemon entry point (``python -m repro serve``).
@@ -1071,9 +1013,7 @@ def serve(host: str = "127.0.0.1", port: int = 8040, *, workers: int = 2,
         faults.install(faults.FaultPlan.parse(fault_spec, seed=fault_seed))
     cache = ResultCache(max_bytes=cache_bytes, directory=cache_dir)
     service = AnalysisService(workers=workers, queue_size=queue_size,
-                              cache=cache, timeout=timeout,
-                              engine_workers=engine_workers,
-                              degraded_threshold=degraded_threshold)
+                              cache=cache, timeout=timeout)
     ServiceServer(host=host, port=port, service=service).serve_forever(
         announce=announce)
     return 0

@@ -25,8 +25,8 @@ bounds the total at < 2 % of the 50-job batch benchmark.
 Serialisation
 -------------
 :meth:`Tracer.to_record` produces a tree of plain dicts / lists / numbers
-/ strings — JSON-ready and picklable, which is how per-job traces survive
-the :class:`~repro.engine.batch.BatchEngine` process pool.
+/ strings — JSON-ready, which is how per-job traces ride on
+:class:`~repro.engine.batch.BatchResult` into reports and HTTP bodies.
 :meth:`TraceSpan.from_record` rebuilds the object form when wanted;
 :func:`phase_seconds` and :func:`iter_events` consume records directly.
 """

@@ -227,10 +227,6 @@ class TestBatch:
         stats = json.loads(path.read_text())
         assert stats["lu_factorizations"] >= 1
 
-    def test_batch_workers(self, two_decks, capsys):
-        assert main(["batch", *two_decks, "--node", "2", "--workers", "2"]) == 0
-        assert "2 worker(s)" in capsys.readouterr().out
-
     def test_batch_failure_isolated(self, two_decks, tmp_path, capsys):
         bad = tmp_path / "bad.sp"
         bad.write_text("broken deck\nnot an element line\n.end\n")

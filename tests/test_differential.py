@@ -7,8 +7,7 @@ Randomized-but-seeded circuits, three differential oracles:
   (`repro.simulate`) within a relative L2 bound (the paper's own accuracy
   measure, Sec. 3.4);
 * **batch vs sequential** — :class:`BatchEngine` results must be
-  *bit-identical* to per-job :class:`AweAnalyzer` runs for the same jobs,
-  inline and through the process pool;
+  *bit-identical* to per-job :class:`AweAnalyzer` runs for the same jobs;
 * **superposition** — the event-decomposed AWE waveform for a ramp input
   must agree with the transient reference, exercising the batched
   multi-subproblem moment recursion differentially.
@@ -131,26 +130,5 @@ class TestBatchBitIdentical:
 
     def test_inline_engine_bit_identical(self):
         jobs = self._jobs()
-        results = BatchEngine().run(jobs, workers=1)
+        results = BatchEngine().run(jobs)
         self._assert_identical(jobs, results)
-
-    def test_process_pool_bit_identical(self):
-        """Crossing a process boundary (pickling circuits out, responses
-        back) must not perturb a single bit of the results."""
-        jobs = self._jobs(n_circuits=4)
-        results = BatchEngine(workers=4).run(jobs)
-        self._assert_identical(jobs, results)
-
-    def test_worker_count_invariance(self):
-        jobs = self._jobs(n_circuits=4)
-        inline = BatchEngine().run(jobs, workers=1)
-        pooled = BatchEngine().run(jobs, workers=2)
-        times = np.linspace(0.0, 20e-9, 250)
-        for a, b in zip(inline, pooled):
-            assert a.ok and b.ok
-            for node in a.responses:
-                assert np.array_equal(a.responses[node].poles, b.responses[node].poles)
-                assert np.array_equal(
-                    a.responses[node].waveform.evaluate(times),
-                    b.responses[node].waveform.evaluate(times),
-                )

@@ -1,10 +1,10 @@
 """Tests for the batch analysis engine (`repro.engine.batch`).
 
-Covers the batch-vs-sequential contract (identical numbers, any worker
-count), analyzer reuse across jobs on the same circuit, structured
-failure records (a bad job never kills the batch), preemptive per-job
-timeouts, and the instrumentation counters that make the multi-RHS
-moment recursion observable.
+Covers the batch-vs-sequential contract (identical numbers), analyzer
+reuse across jobs on the same circuit, structured failure records (a
+bad job never kills the batch), preemptive per-job timeouts, the
+in-process-only ``workers`` contract, and the instrumentation counters
+that make the multi-RHS moment recursion observable.
 """
 
 import numpy as np
@@ -82,23 +82,20 @@ class TestBatchEngineResults:
             for n in (8, 12)
         ]
         reference = sequential_responses(jobs)
-        results = BatchEngine().run(jobs, workers=1)
+        results = BatchEngine().run(jobs)
         times = np.linspace(0.0, 10e-9, 100)
         for expected, result in zip(reference, results):
             assert_bit_identical(expected, result, times)
 
-    def test_matches_sequential_process_pool(self):
-        circuits = [random_rc_tree(12, seed=s) for s in range(3)]
-        jobs = [
-            AweJob(c, (str(n),), stimuli=STIM, order=2)
-            for c in circuits
-            for n in (6, 12)
-        ]
-        reference = sequential_responses(jobs)
-        results = BatchEngine(workers=3).run(jobs)
-        times = np.linspace(0.0, 10e-9, 100)
-        for expected, result in zip(reference, results):
-            assert_bit_identical(expected, result, times)
+    def test_workers_one_still_runs(self):
+        job = AweJob(random_rc_tree(4, seed=1), ("4",), stimuli=STIM, order=1)
+        [result] = BatchEngine(workers=1).run([job])
+        assert result.ok, result.error
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_other_worker_counts_point_to_gateway_shards(self, workers):
+        with pytest.raises(ValueError, match="gateway shards"):
+            BatchEngine(workers=workers)
 
     def test_results_in_input_order(self):
         a, b = random_rc_tree(6, seed=1), random_rc_tree(6, seed=2)
@@ -138,13 +135,6 @@ class TestFailureIsolation:
         assert not results[0].ok and results[1].ok
         assert results[0].error_type in ("SingularCircuitError", "CircuitError")
 
-    def test_failure_isolated_in_process_pool(self):
-        good = AweJob(random_rc_tree(5, seed=3), ("5",), stimuli=STIM, order=1)
-        bad = AweJob(random_rc_tree(5, seed=4), ("nope",), stimuli=STIM)
-        results = BatchEngine(workers=2).run([bad, good])
-        assert not results[0].ok and results[0].error_type == "CircuitError"
-        assert results[1].ok
-
 
 class TestTimeout:
     def test_per_job_timeout_becomes_failure_record(self):
@@ -161,16 +151,8 @@ class TestTimeout:
         # The fast job still completes (a few ms of analysis).
         assert results[1].ok
 
-    def test_timeout_in_process_pool(self):
-        big = rc_mesh(60, 60)
-        results = BatchEngine(workers=2).run(
-            [AweJob(big, ("n59_59",), stimuli=STIM, order=4)], timeout=0.02
-        )
-        assert not results[0].ok
-        assert results[0].error_type == "BatchTimeoutError"
-
     def test_timed_out_job_then_good_job_in_same_chunk(self):
-        # Both jobs share one circuit (one chunk, one reused analyzer).
+        # Both jobs share one circuit (one group, one reused analyzer).
         # The first asks for every mesh node with an impossible 1e-14
         # target (~1 s of per-node escalations, far past the deadline) and
         # is killed by the timer mid-group; the second, trivial job must
@@ -311,8 +293,12 @@ class TestInstrumentation:
         assert stats["responses"] == 4
 
     def test_stats_merged_from_pool_workers(self):
+        """Each circuit group's solver counters are merged into the
+        engine's totals.  The groups once ran on pool workers; they now
+        run in process, and the merged totals must still count every
+        group."""
         circuits = [random_rc_tree(8, seed=s) for s in range(3)]
-        engine = BatchEngine(workers=3)
+        engine = BatchEngine()
         engine.run([AweJob(c, ("8",), stimuli=STIM, order=1) for c in circuits])
         stats = engine.stats()
         assert stats["lu_factorizations"] == 3

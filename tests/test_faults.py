@@ -27,7 +27,7 @@ class TestProbe:
         assert probe.fires == 0
 
     def test_cap_stops_firing_but_keeps_counting_checks(self):
-        probe = FaultProbe("worker_crash", 1.0, times=2)
+        probe = FaultProbe("slow_job", 1.0, times=2)
         assert [probe.fire() for _ in range(5)] == [True, True, False, False, False]
         assert probe.checks == 5
         assert probe.fires == 2
@@ -68,14 +68,14 @@ class TestProbe:
 
 class TestParse:
     def test_full_grammar_round_trips(self):
-        spec = "worker_crash=1:x1,http_429=0.1:0.05,slow_job=0.2:1.5:x3"
+        spec = "slow_job=1:x1,http_429=0.1:0.05,http_timeout=0.2:1.5:x3"
         plan = FaultPlan.parse(spec, seed=11)
         assert FaultPlan.parse(plan.spec(), seed=11).spec() == plan.spec()
-        assert "worker_crash" in plan
-        assert "http_timeout" not in plan
+        assert "slow_job" in plan
+        assert "shard_crash" not in plan
         assert plan.arg("http_429", 9.9) == 0.05
-        assert plan.arg("worker_crash", 9.9) == 9.9  # no arg: default
-        assert plan.arg("slow_job", 0.0) == 1.5
+        assert plan.arg("slow_job", 9.9) == 9.9  # no arg: default
+        assert plan.arg("http_timeout", 0.0) == 1.5
 
     def test_cap_and_arg_order_is_free(self):
         a = FaultPlan.parse("slow_job=1:x2:0.5")
@@ -88,15 +88,15 @@ class TestParse:
 
     def test_missing_rate_rejected(self):
         with pytest.raises(ValueError, match="name=rate"):
-            FaultPlan.parse("worker_crash")
+            FaultPlan.parse("slow_job")
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError, match="not.*number"):
-            FaultPlan.parse("worker_crash=often")
+            FaultPlan.parse("slow_job=often")
 
     def test_bad_cap_rejected(self):
         with pytest.raises(ValueError, match="fire cap"):
-            FaultPlan.parse("worker_crash=1:xtwo")
+            FaultPlan.parse("slow_job=1:xtwo")
 
     def test_duplicate_probe_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -132,9 +132,9 @@ class TestActivation:
         plan = faults.active()
         assert plan is NO_FAULTS
         assert not plan.enabled
-        assert not plan.fire("worker_crash")
+        assert not plan.fire("slow_job")
         assert plan.stats() == {}
-        assert "worker_crash" not in plan
+        assert "slow_job" not in plan
 
     def test_install_wins_and_reset_forgets(self):
         plan = faults.install(FaultPlan.parse("http_429=1"))

@@ -185,7 +185,7 @@ class TestBatchPlumbing:
             AweJob(circuit, ("80",), stimuli=STIM, order=3),
             AweJob(circuit, ("80",), stimuli=STIM, order=3, reduce=True),
         ]
-        plain, reduced = BatchEngine().run(jobs, workers=1)
+        plain, reduced = BatchEngine().run(jobs)
         assert plain.ok and reduced.ok
         assert reduced.responses["80"].delay_50() == pytest.approx(
             plain.responses["80"].delay_50(), rel=0.01

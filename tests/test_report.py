@@ -121,15 +121,6 @@ class TestCliAcceptance:
         validate_report(document)
         assert document["totals"]["jobs"] == 3
 
-    def test_workers_fan_out(self, deck_files, tmp_path, capsys):
-        json_path = tmp_path / "run.json"
-        code = main(["report", *deck_files, "--node", "out",
-                     "--workers", "2", "--json", str(json_path)])
-        assert code == 0
-        document = json.loads(json_path.read_text(encoding="utf-8"))
-        validate_report(document)
-        assert all(job["traced"] for job in document["jobs"])
-
     def test_failed_job_reported_not_fatal(self, deck_files, tmp_path, capsys):
         # Parses fine but has no 'out' node, so the *job* fails while the
         # batch (and the report) survives.

@@ -228,8 +228,7 @@ class TestDiskSchemas:
         directory = str(tmp_path / "cache")
         for kind, payload in requests.items():
             _, params = canonicalize(kind, json.dumps(payload).encode())
-            document, _ = ENDPOINTS[kind].run(params, BatchEngine(), None,
-                                              0.0)
+            document = ENDPOINTS[kind].run(params, BatchEngine(), None, 0.0)
             body = (json.dumps(document) + "\n").encode()
             ResultCache(directory=directory).put(kind, body)
             assert ResultCache(directory=directory).get(kind) == body, kind

@@ -251,11 +251,6 @@ class TestBatchTraces:
             assert "response" in phase_seconds(result.trace)
         json.dumps([result.trace for result in results])
 
-    def test_traces_survive_process_pool(self):
-        results = BatchEngine().run(self._jobs(4), workers=2, trace=True)
-        assert all(result.ok and result.trace is not None for result in results)
-        json.dumps([result.trace for result in results])
-
     def test_failed_job_still_traced(self):
         jobs = self._jobs(1) + [
             AweJob(fig22_floating_cap(), ("no_such_node",),
