@@ -34,13 +34,20 @@ def make_decks():
     return cold_deck, warm_deck
 
 
+def request(deck):
+    """The ``/analyze`` payload for ``deck``: the Fig. 16 output, with a
+    threshold delay."""
+    return {"deck": deck, "nodes": [FIG16_OUTPUT], "threshold": 2.5}
+
+
 def run_cold_warm(warm_requests=5):
     cold_deck, warm_deck = make_decks()
     with ServiceServer(port=0, workers=1) as server:
         client = AnalysisClient(server.url)
-        cold = client.analyze(cold_deck, FIG16_OUTPUT, threshold=2.5)
-        assert cold.ok and not cold.cached
-        warms = [client.analyze(warm_deck, FIG16_OUTPUT, threshold=2.5)
+        cold = client.call("analyze", request(cold_deck))
+        assert cold.document["totals"]["jobs_failed"] == 0
+        assert not cold.cached
+        warms = [client.call("analyze", request(warm_deck))
                  for _ in range(warm_requests)]
         metrics = client.metrics()
     return cold, warms, metrics
@@ -66,8 +73,8 @@ def test_warm_hit_is_bit_identical_and_10x_faster(benchmark):
     with ServiceServer(port=0, workers=1) as server:
         client = AnalysisClient(server.url)
         cold_deck, warm_deck = make_decks()
-        client.analyze(cold_deck, FIG16_OUTPUT, threshold=2.5)
-        benchmark(lambda: client.analyze(warm_deck, FIG16_OUTPUT, threshold=2.5))
+        client.call("analyze", request(cold_deck))
+        benchmark(lambda: client.call("analyze", request(warm_deck)))
 
     report(
         "Service cache — Fig. 16 deck, cold analysis vs content-addressed hit",

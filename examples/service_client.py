@@ -24,9 +24,12 @@ def main():
         client = AnalysisClient(server.url)
         print(f"healthz: {client.healthz()['status']}")
 
-        # 2. Cold request: a worker runs the full AWE analysis.
-        cold = client.analyze(deck, FIG16_OUTPUT, threshold=2.5)
-        assert cold.ok and not cold.cached
+        # 2. Cold request: a worker runs the full AWE analysis.  The
+        #    payload is the JSON object POSTed to /analyze.
+        request = {"deck": deck, "nodes": [FIG16_OUTPUT], "threshold": 2.5}
+        cold = client.call("analyze", request)
+        assert cold.document["totals"]["jobs_failed"] == 0
+        assert not cold.cached
         response = cold.document["jobs"][0]["responses"][0]
         print(f"\ncold: computed in {cold.server_elapsed_s * 1e3:.2f} ms "
               f"server-side (order {response['order']}, "
@@ -38,7 +41,7 @@ def main():
         #    it to the same key, and the hit is *bit-identical*.
         noisy = ("* regenerated deck, run 2\n"
                  + deck.replace(" 1k", "   1000 ; respelled"))
-        warm = client.analyze(noisy, FIG16_OUTPUT, threshold=2.5)
+        warm = client.call("analyze", {**request, "deck": noisy})
         assert warm.cached and warm.key == cold.key
         assert warm.body == cold.body
         speedup = cold.server_elapsed_s / max(warm.server_elapsed_s, 1e-9)

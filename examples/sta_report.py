@@ -96,13 +96,14 @@ def main():
     # 4. The same analysis over the wire: POST /sta, then the cache hit.
     with ServiceServer(port=0, workers=1) as server:
         client = AnalysisClient(server.url, timeout=120)
-        cold = client.sta(design, k=3, corners=corners,
-                          interconnect="awe")
-        warm = client.sta(design, k=3, corners=corners,
-                          interconnect="awe")
+        request = {"design": design.to_canonical_dict(), "k": 3,
+                   "corners": [corner.to_dict() for corner in corners],
+                   "interconnect": "awe"}
+        cold = client.call("sta", request)
+        warm = client.call("sta", request)
         assert not cold.cached and warm.cached
         assert warm.body == cold.body
-        assert cold.worst_slack_s == run.worst_slack
+        assert cold.document["worst_slack_s"] == run.worst_slack
         print(f"\ndaemon: cold {cold.server_elapsed_s * 1e3:.1f} ms, "
               f"warm hit {warm.server_elapsed_s * 1e3:.2f} ms, "
               f"bodies byte-identical (key {cold.key[:16]}…)")

@@ -194,7 +194,7 @@ class MnaSystem:
             self.G, self.C, self.B = _stamp(
                 circuit, self.index, sparse=self.use_sparse
             )
-            self.floating_groups = _find_floating_groups(circuit, self.index)
+            self.floating_groups = find_floating_groups(circuit)
             self.charge_rows = tuple(group[0] for group in self.floating_groups)
             self.G_aug = self._augment_for_charge()
         event = {
@@ -680,7 +680,7 @@ def _stamp(circuit: Circuit, index: MnaIndexing, sparse: bool = False):
     )
 
 
-def _find_floating_groups(circuit: Circuit, index: MnaIndexing) -> tuple[tuple[int, ...], ...]:
+def find_floating_groups(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
     """Node-index groups with no conductive path to ground.
 
     The conductive graph joins nodes through resistors, inductors, voltage
@@ -688,12 +688,12 @@ def _find_floating_groups(circuit: Circuit, index: MnaIndexing) -> tuple[tuple[i
     equations pin their output voltage).  Capacitors and current sources do
     not conduct at DC.  Any connected component that does not contain
     ground is a floating group whose DC state is fixed only by charge
-    conservation (paper Sec. III).
+    conservation (paper Sec. III).  The indices are the circuit's own
+    node indices, which are also the MNA rows of the node voltages.
     """
     graph = nx.Graph()
     graph.add_node(GROUND)
-    for name in index.node_names:
-        graph.add_node(name)
+    graph.add_nodes_from(circuit.nodes)
     for element in circuit:
         if isinstance(element, (Resistor, Inductor, VoltageSource, VCVS, CCVS)):
             graph.add_edge(element.positive, element.negative)
@@ -701,5 +701,5 @@ def _find_floating_groups(circuit: Circuit, index: MnaIndexing) -> tuple[tuple[i
     for component in nx.connected_components(graph):
         if GROUND in component:
             continue
-        groups.append(tuple(sorted(index.node(name) for name in component)))
+        groups.append(tuple(sorted(circuit.node_index(name) for name in component)))
     return tuple(sorted(groups))

@@ -27,12 +27,19 @@ from repro.circuit.elements import (
     CCVS,
     GROUND,
     VCVS,
+    Capacitor,
     CurrentSource,
     Inductor,
+    Resistor,
     VoltageSource,
 )
 from repro.circuit.netlist import Circuit
-from repro.errors import CircuitError, SingularCircuitError, TopologyError
+from repro.errors import (
+    AnalysisError,
+    CircuitError,
+    SingularCircuitError,
+    TopologyError,
+)
 
 
 def validate_for_analysis(circuit: Circuit) -> None:
@@ -43,6 +50,20 @@ def validate_for_analysis(circuit: Circuit) -> None:
     _check_controlled_sources(circuit)
     _check_voltage_loops(circuit)
     _check_current_source_cutsets(circuit)
+
+
+def require_rcvi(circuit: Circuit, what: str) -> None:
+    """Raise :class:`~repro.errors.AnalysisError` naming the first element
+    that is not a resistor, capacitor or independent source; ``what``
+    names the analysis that needs an R/C/V/I circuit."""
+    for element in circuit:
+        if not isinstance(
+            element, (Resistor, Capacitor, VoltageSource, CurrentSource)
+        ):
+            raise AnalysisError(
+                f"{what} support R/C/V/I circuits; got "
+                f"{type(element).__name__} {element.name!r}"
+            )
 
 
 def _check_ground_reference(circuit: Circuit) -> None:

@@ -45,22 +45,24 @@ Installed as ``python -m repro``.  The subcommands:
     timing DAG whose net delays come from per-net AWE runs (or Elmore
     with ``--interconnect elmore``), propagate arrivals/requireds, and
     report per-endpoint slack plus the top-K critical paths — per
-    corner (``--corner slow:wire_r=1.5,cell=1.3``, repeatable).  Runs
-    locally by default or against a daemon with ``--server URL``
-    (``POST /sta``); ``--json`` / ``--markdown`` emit the
-    ``repro.sta-report/1`` document and its rendering.  See
+    corner (``--corner slow:wire_r=1.5,cell=1.3``, repeatable).  The
+    ``POST /sta`` request, answered locally by default or by a daemon
+    or gateway with ``--server URL``; ``--json`` / ``--markdown`` emit
+    the ``repro.sta-report/1`` document and its rendering.  See
     ``docs/sta.md``.
 
 ``serve``
     Run the long-lived analysis daemon: a JSON HTTP API (``POST
-    /analyze``, ``POST /sta``, ``GET /healthz``, ``GET /metrics``) over
-    persistent worker threads with a content-addressed result cache,
-    bounded-queue admission control (429 when full), and graceful
-    SIGTERM drain.  See ``docs/service.md``.
+    /analyze``, ``POST /sta``, ``POST /sweep``, ``GET /healthz``,
+    ``GET /metrics``) over persistent worker threads with a
+    content-addressed result cache, bounded-queue admission control
+    (429 when full), and graceful SIGTERM drain.  See
+    ``docs/service.md``.
 
 ``analyze``
-    Client for a running daemon: send one deck to ``--server URL`` and
-    print the timing table (or the raw run-report JSON with ``--json``).
+    The ``POST /analyze`` request for one deck, sent to a daemon or
+    gateway at ``--server URL``: print the timing table (or the raw
+    run-report JSON with ``--json``).  Locally, ``report`` answers it.
 
 ``gateway``
     Run the sharded gateway: the daemon's HTTP front over N spawned
@@ -76,15 +78,23 @@ Installed as ``python -m repro``.  The subcommands:
     evaluate many perturbation points (scale or replace an R/C value,
     retune a source level) by recomputing only what each delta touches
     — adjoint first-order updates, Sherman–Morrison rank-1 updates, or
-    a bit-exact re-stamp fallback.  Runs locally by default or against
-    a daemon/gateway with ``--server URL`` (``POST /sweep``).  See
-    ``docs/sweep.md``.
+    a bit-exact re-stamp fallback.  The ``POST /sweep`` request,
+    answered locally by default or by a daemon or gateway with
+    ``--server URL``.  See ``docs/sweep.md``.
 
 ``loadgen``
     Drive a seeded, replayable request mix against a daemon or gateway
     at fixed concurrency and print p50/p99 latency, RPS, cache hits,
     and failures (JSON with ``--json``) — the measurement harness
     behind ``BENCH_scaling.json``'s ``gateway_scaling`` entry.
+
+``analyze``, ``sta`` and ``sweep`` build the JSON payload their
+endpoint takes.  With ``--server`` it is POSTed through
+:meth:`repro.service.AnalysisClient.call`; without it
+:func:`repro.service.answer` answers it in process.  Either way the
+endpoint's row of :data:`repro.service.server.ENDPOINTS` parses and runs
+it, so local and served documents agree, and a refused request prints
+one ``error:`` line and exits 1.
 
 Examples::
 
@@ -105,6 +115,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -454,7 +465,6 @@ def _write_text(target: str, text: str) -> None:
 
 
 def cmd_report(args) -> int:
-    import json
     import time
 
     from repro.engine import AweJob, BatchEngine
@@ -591,8 +601,6 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    import json
-
     from repro.engine import AweJob, BatchEngine
     from repro.errors import ReproError as _ReproError
     from repro.report import response_record
@@ -651,8 +659,6 @@ def cmd_batch(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    import json
-
     from repro.conformance import FAMILIES, CHECKS, FuzzConfig, run_fuzz
 
     if args.family is not None and args.family not in FAMILIES:
@@ -704,14 +710,12 @@ def cmd_fuzz(args) -> int:
     return 0 if report["ok"] else 1
 
 
-def _parse_corner_spec(spec: str):
-    """``NAME[:wire_r=F,wire_c=F,cell=F]`` → :class:`repro.sta.Corner`."""
-    from repro.sta import Corner
-
+def _parse_corner_spec(spec: str) -> dict:
+    """``NAME[:wire_r=F,wire_c=F,cell=F]`` → a ``/sta`` corner object."""
     name, _, rest = spec.partition(":")
     if not name:
         raise ReproError(f"corner spec {spec!r} needs a name")
-    factors = {}
+    corner = {"name": name}
     if rest:
         for item in rest.split(","):
             key, sep, value = item.partition("=")
@@ -720,80 +724,95 @@ def _parse_corner_spec(spec: str):
                     f"corner spec {spec!r}: expected wire_r=, wire_c= or "
                     f"cell= assignments, got {item!r}")
             try:
-                factors[key] = float(value)
+                corner[key] = float(value)
             except ValueError:
                 raise ReproError(
                     f"corner spec {spec!r}: {key} must be a number, "
                     f"got {value!r}") from None
-    return Corner(name=name, **factors)
+    return corner
+
+
+def _read_json(path: str):
+    """The JSON document in a file, or on stdin when the path is ``-``."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ReproError(f"{path}: not valid JSON: {exc}") from None
+
+
+def _read_deck(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
+
+
+def _payload(**fields) -> dict:
+    """A request payload: the fields that are not ``None``."""
+    return {name: value for name, value in fields.items()
+            if value is not None}
+
+
+def _answer(args, kind: str, payload: dict):
+    """Answer one ``kind`` request: POSTed to ``--server`` when given,
+    else in process.  Both paths parse and run it through the endpoint's
+    row of :data:`repro.service.server.ENDPOINTS` and return a
+    :class:`repro.service.Outcome`."""
+    if args.server is None:
+        from repro.service import answer
+
+        try:
+            return answer(kind, payload)
+        except ValueError as exc:  # a request the daemon refuses with 400
+            raise ReproError(str(exc)) from None
+    from repro.service import AnalysisClient
+
+    outcome = AnalysisClient(args.server, retries=args.retries).call(
+        kind, payload)
+    print(f"server: {args.server} "
+          f"[{'cache hit' if outcome.cached else 'computed'}, "
+          f"{outcome.server_elapsed_s * 1e3:.2f} ms server-side]",
+          file=sys.stderr)
+    return outcome
+
+
+def _emit(args, outcome, render) -> bool:
+    """Write the outcome's ``--json`` body and ``--markdown`` rendering;
+    whether either was asked for."""
+    if args.json is not None:
+        _write_text(args.json, outcome.body.decode("utf-8"))
+    if args.markdown is not None:
+        _write_text(args.markdown, render(outcome.document))
+    return args.json is not None or args.markdown is not None
 
 
 def cmd_sta(args) -> int:
-    import json
-    import time
+    from repro.report import render_sta_markdown
 
-    from repro.report import (build_sta_report, render_sta_markdown,
-                              validate_sta_report)
-    from repro.sta import CellLibrary, Design, run_sta
-    from repro.trace import Tracer
-
-    started = time.perf_counter()
-    if args.design == "-":
-        design_payload = json.load(sys.stdin)
-    else:
-        with open(args.design, "r", encoding="utf-8") as handle:
-            design_payload = json.load(handle)
-    design = Design.from_dict(design_payload)
-    library = None
-    if args.library is not None:
-        with open(args.library, "r", encoding="utf-8") as handle:
-            library = CellLibrary.from_dict(json.load(handle))
-    corners = None
-    if args.corner:
-        corners = [_parse_corner_spec(spec) for spec in args.corner]
-    parse_s = time.perf_counter() - started
-
-    if args.server is not None:
-        from repro.service import AnalysisClient
-
-        client = AnalysisClient(args.server, retries=args.retries)
-        outcome = client.sta(design, k=args.k, corners=corners,
-                             interconnect=args.interconnect,
-                             library=library, timeout=args.timeout)
-        document = outcome.document
-        body_text = outcome.body.decode("utf-8")
-        print(f"server: {args.server} "
-              f"[{'cache hit' if outcome.cached else 'computed'}, "
-              f"{outcome.server_elapsed_s * 1e3:.2f} ms server-side]",
-              file=sys.stderr)
-    else:
-        from repro.sta import NOMINAL
-
-        tracer = Tracer(name="sta", design=design.name)
-        run = run_sta(design, library=library, k=args.k,
-                      corners=tuple(corners) if corners else (NOMINAL,),
-                      interconnect=args.interconnect, tracer=tracer)
-        document = validate_sta_report(
-            build_sta_report(run, trace=tracer.to_record(), parse_s=parse_s))
-        body_text = json.dumps(document, indent=2) + "\n"
-
-    if args.json is not None:
-        _write_text(args.json, body_text)
-    if args.markdown is not None:
-        _write_text(args.markdown, render_sta_markdown(document))
-    if args.json is None and args.markdown is None:
-        worst = document["worst_slack_s"]
-        worst_text = "unconstrained" if worst is None else fmt(worst, "s")
-        print(f"STA: {document['design']} "
-              f"[{document['interconnect']}] worst slack {worst_text}")
-        for corner in document["corners"]:
-            print(f"\ncorner {corner['name']}: {corner['nodes']} nodes, "
-                  f"{corner['edges']} edges")
-            print(f"  {'#':>2} {'slack':>12} {'endpoint':<18} path")
-            for entry in corner["paths"]:
-                chain = " > ".join(entry["nodes"])
-                print(f"  {entry['rank']:>2} {fmt(entry['slack_s'], 's'):>12} "
-                      f"{entry['endpoint']:<18} {chain}")
+    outcome = _answer(args, "sta", _payload(
+        design=_read_json(args.design), k=args.k,
+        corners=([_parse_corner_spec(spec) for spec in args.corner]
+                 if args.corner else None),
+        interconnect=args.interconnect,
+        library=(None if args.library is None
+                 else _read_json(args.library)),
+        timeout=args.timeout))
+    if _emit(args, outcome, render_sta_markdown):
+        return 0
+    document = outcome.document
+    worst = document["worst_slack_s"]
+    worst_text = "unconstrained" if worst is None else fmt(worst, "s")
+    print(f"STA: {document['design']} "
+          f"[{document['interconnect']}] worst slack {worst_text}")
+    for corner in document["corners"]:
+        print(f"\ncorner {corner['name']}: {corner['nodes']} nodes, "
+              f"{corner['edges']} edges")
+        print(f"  {'#':>2} {'slack':>12} {'endpoint':<18} path")
+        for entry in corner["paths"]:
+            chain = " > ".join(entry["nodes"])
+            print(f"  {entry['rank']:>2} {fmt(entry['slack_s'], 's'):>12} "
+                  f"{entry['endpoint']:<18} {chain}")
     return 0
 
 
@@ -825,26 +844,11 @@ def cmd_serve(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    import json
-
-    from repro.service import AnalysisClient
-
-    client = AnalysisClient(args.server, retries=args.retries)
-    outcome = client.analyze_file(
-        args.deck,
-        args.node,
-        order=args.order,
+    outcome = _answer(args, "analyze", _payload(
+        deck=_read_deck(args.deck), nodes=args.node, order=args.order,
         error_target=None if args.order is not None else args.target,
-        max_order=args.max_order,
-        threshold=args.threshold,
-        timeout=args.timeout,
-        reduce=True if args.reduce else None,
-    )
-    print(f"server: {args.server} "
-          f"[{'cache hit' if outcome.cached else 'computed'}, "
-          f"{outcome.server_elapsed_s * 1e3:.2f} ms server-side]",
-          file=sys.stderr)
-
+        max_order=args.max_order, threshold=args.threshold,
+        timeout=args.timeout, reduce=True if args.reduce else None))
     if args.json is not None:
         _write_text(args.json, outcome.body.decode("utf-8"))
     else:
@@ -913,107 +917,54 @@ def _parse_point_spec(spec: str) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    import json
-    import time
-
-    from repro.report import (build_sweep_report, render_sweep_markdown,
-                              validate_sweep_report)
-    from repro.sweep import SweepEngine, SweepPlan
-    from repro.trace import Tracer
+    from repro.report import render_sweep_markdown
 
     points = [_parse_point_spec(spec) for spec in (args.point or [])]
-    plan_defaults: dict = {}
+    plan: dict = {}
     if args.plan is not None:
-        if args.plan == "-":
-            payload = json.load(sys.stdin)
-        else:
-            with open(args.plan, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        if isinstance(payload, list):
-            points.extend(payload)
-        elif isinstance(payload, dict):
-            points.extend(payload.get("points", []))
-            plan_defaults = {name: payload[name]
-                             for name in ("mode", "first_order_threshold",
-                                          "error_bound")
-                             if name in payload}
-        else:
+        plan = _read_json(args.plan)
+        if isinstance(plan, list):
+            plan = {"points": plan}
+        elif not isinstance(plan, dict):
             raise ReproError("--plan must be a JSON list or object")
+        points.extend(plan.get("points", []))
     if not points:
         raise ReproError("no sweep points: give --point and/or --plan")
 
-    plan_payload = {
-        "node": args.node,
-        "points": points,
-        "mode": plan_defaults.get("mode", args.mode),
-        "first_order_threshold": plan_defaults.get(
-            "first_order_threshold", args.first_order_threshold),
-        "error_bound": plan_defaults.get("error_bound", args.error_bound),
-    }
-
-    if args.server is not None:
-        from repro.service import AnalysisClient
-
-        with open(args.deck, "r", encoding="utf-8") as handle:
-            deck_text = handle.read()
-        client = AnalysisClient(args.server, retries=args.retries)
-        outcome = client.sweep(
-            deck_text, args.node, plan_payload["points"],
-            mode=plan_payload["mode"],
-            first_order_threshold=plan_payload["first_order_threshold"],
-            error_bound=plan_payload["error_bound"],
-            timeout=args.timeout)
-        document = outcome.document
-        body_text = outcome.body.decode("utf-8")
-        print(f"server: {args.server} "
-              f"[{'cache hit' if outcome.cached else 'computed'}, "
-              f"{outcome.server_elapsed_s * 1e3:.2f} ms server-side]",
-              file=sys.stderr)
-    else:
-        started = time.perf_counter()
-        deck = parse_netlist_file(args.deck)
-        plan = SweepPlan.from_payload(plan_payload)
-        parse_s = time.perf_counter() - started
-        tracer = Tracer(name="sweep", deck=deck.title or args.deck,
-                        points=len(plan.points))
-        engine = SweepEngine(deck.circuit, deck.stimuli, tracer=tracer)
-        result = engine.evaluate(plan)
-        document = validate_sweep_report(
-            build_sweep_report(result, trace=tracer.to_record(),
-                               parse_s=parse_s))
-        body_text = json.dumps(document, indent=2) + "\n"
-
-    if args.json is not None:
-        _write_text(args.json, body_text)
-    if args.markdown is not None:
-        _write_text(args.markdown, render_sweep_markdown(document))
-    if args.json is None and args.markdown is None:
-        base = document["base"]
-        stats = document["stats"]
-        print(f"sweep: node {document['node']}, "
-              f"base Elmore delay {fmt(base['elmore_delay'], 's')}")
-        print(f"  {len(document['points'])} point(s): "
-              f"{document['incremental_points']} incremental "
-              f"(first_order {stats['first_order']}, rank1 {stats['rank1']}), "
-              f"{stats['exact']} exact, {stats['fallbacks']} fallback(s), "
-              f"{stats['factorizations']} extra factorization(s)")
-        print(f"  {'element':<10} {'value':>12} {'mode':<13} "
-              f"{'dc':>9} {'Elmore delay':>13} {'est. err':>9}")
-        for entry in document["points"]:
-            estimate = entry["error_estimate"]
-            mode = entry["mode"] + ("*" if entry["fallback"] else "")
-            print(f"  {entry['element']:<10} {entry['value']:>12.6g} "
-                  f"{mode:<13} {entry['dc']:>9.4g} "
-                  f"{fmt(entry['elmore_delay'], 's'):>13} "
-                  f"{'n/a' if estimate is None else f'{estimate:.2g}':>9}")
-        if any(entry["fallback"] for entry in document["points"]):
-            print("  (* demoted tier; see the sweep_fallback trace events)")
+    outcome = _answer(args, "sweep", _payload(
+        deck=_read_deck(args.deck), node=args.node, points=points,
+        mode=plan.get("mode", args.mode),
+        first_order_threshold=plan.get("first_order_threshold",
+                                       args.first_order_threshold),
+        error_bound=plan.get("error_bound", args.error_bound),
+        timeout=args.timeout))
+    if _emit(args, outcome, render_sweep_markdown):
+        return 0
+    document = outcome.document
+    base = document["base"]
+    stats = document["stats"]
+    print(f"sweep: node {document['node']}, "
+          f"base Elmore delay {fmt(base['elmore_delay'], 's')}")
+    print(f"  {len(document['points'])} point(s): "
+          f"{document['incremental_points']} incremental "
+          f"(first_order {stats['first_order']}, rank1 {stats['rank1']}), "
+          f"{stats['exact']} exact, {stats['fallbacks']} fallback(s), "
+          f"{stats['factorizations']} extra factorization(s)")
+    print(f"  {'element':<10} {'value':>12} {'mode':<13} "
+          f"{'dc':>9} {'Elmore delay':>13} {'est. err':>9}")
+    for entry in document["points"]:
+        estimate = entry["error_estimate"]
+        mode = entry["mode"] + ("*" if entry["fallback"] else "")
+        print(f"  {entry['element']:<10} {entry['value']:>12.6g} "
+              f"{mode:<13} {entry['dc']:>9.4g} "
+              f"{fmt(entry['elmore_delay'], 's'):>13} "
+              f"{'n/a' if estimate is None else f'{estimate:.2g}':>9}")
+    if any(entry["fallback"] for entry in document["points"]):
+        print("  (* demoted tier; see the sweep_fallback trace events)")
     return 0
 
 
 def cmd_loadgen(args) -> int:
-    import json
-
     from repro.gateway import build_mix, coalesced_delta, run_loadgen
     from repro.service import AnalysisClient, ServiceError
 

@@ -35,8 +35,9 @@ import dataclasses
 import numpy as np
 
 from repro.analysis.mna import MnaSystem
-from repro.circuit.elements import GROUND, Capacitor, CurrentSource, Resistor, VoltageSource, canonical_node
+from repro.circuit.elements import GROUND, CurrentSource, VoltageSource, canonical_node
 from repro.circuit.netlist import Circuit
+from repro.circuit.validation import require_rcvi
 from repro.core.moments import moment_chain
 from repro.errors import AnalysisError
 
@@ -98,12 +99,7 @@ def delay_sensitivities(
     ``circuit`` whose factorization the four solves reuse (the adjoint
     pair as transpose solves); by default one is built here.
     """
-    for element in circuit:
-        if not isinstance(element, (Resistor, Capacitor, VoltageSource, CurrentSource)):
-            raise AnalysisError(
-                "delay sensitivities support R/C/V/I circuits; got "
-                f"{type(element).__name__} {element.name!r}"
-            )
+    require_rcvi(circuit, "delay sensitivities")
     name = canonical_node(node)
     if name == GROUND:
         raise AnalysisError("ground has no delay")

@@ -58,7 +58,7 @@ def seeded_chain_deck(seed: int, sections: int = 4) -> tuple[str, str]:
 
 def build_mix(mix: str, requests: int, *, concurrency: int = 8,
               seed: int = 0, sections: int = 4) -> list[dict]:
-    """The request list for a named mix (see module doc).
+    """The ``/analyze`` payloads for a named mix (see module doc).
 
     ``hot``/``mixed`` rounds are sized to ``concurrency`` so that the
     identical copies of one deck are exactly the requests in flight
@@ -87,14 +87,14 @@ def build_mix(mix: str, requests: int, *, concurrency: int = 8,
             deck, node = seeded_chain_deck(base + next_seed,
                                            sections=sections)
             next_seed += 1
-            payloads.extend({"deck": deck, "node": node}
+            payloads.extend({"deck": deck, "nodes": [node]}
                             for _ in range(count))
         else:
             for _ in range(count):
                 deck, node = seeded_chain_deck(base + next_seed,
                                                sections=sections)
                 next_seed += 1
-                payloads.append({"deck": deck, "node": node})
+                payloads.append({"deck": deck, "nodes": [node]})
         round_index += 1
     return payloads
 
@@ -120,8 +120,9 @@ def _percentile(sorted_values: list, fraction: float) -> float:
 
 def run_loadgen(url: str, payloads: list, *, concurrency: int = 8,
                 retries: int = 2, timeout: float = 120.0) -> dict:
-    """Drive ``payloads`` against ``url`` with ``concurrency`` worker
-    threads; returns the measurement document (JSON-friendly).
+    """Drive ``payloads`` (``/analyze`` request objects) against ``url``
+    with ``concurrency`` worker threads; returns the measurement
+    document (JSON-friendly).
 
     Rounds of identical payloads are submitted back to back, so on a
     gateway they coalesce; ``failures`` lists every request that did not
@@ -145,9 +146,9 @@ def run_loadgen(url: str, payloads: list, *, concurrency: int = 8,
         payload = payloads[index]
         started = time.perf_counter()
         try:
-            outcome = client().analyze(payload["deck"], payload["node"])
+            outcome = client().call("analyze", payload)
             cache_hits[index] = outcome.cached
-            ok = outcome.ok
+            ok = outcome.document["totals"]["jobs_failed"] == 0
             detail = None if ok else "report contains failed jobs"
         except Exception as exc:
             ok, detail = False, f"{type(exc).__name__}: {exc}"

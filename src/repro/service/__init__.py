@@ -19,13 +19,19 @@ microseconds instead of milliseconds.
   gateway share: one endpoint table (``POST /analyze``, ``POST /sta``,
   ``POST /sweep``), one request skeleton, one health/canary policy and
   one stdlib ``http.server`` front (``GET /healthz``,
-  ``GET /metrics``); and the daemon on top of it, with a bounded queue,
+  ``GET /metrics``); the daemon on top of it, with a bounded queue,
   429 admission control, per-request timeouts, and graceful SIGTERM
-  drain.
-* :mod:`repro.service.client` — a dependency-free HTTP client with
-  capped, full-jitter retry for transient failures
-  (``python -m repro analyze --server`` uses it).
+  drain; and :func:`~repro.service.server.answer`, which answers one
+  request in process through the same endpoint row.
+* :mod:`repro.service.client` — a dependency-free HTTP client whose one
+  :meth:`~repro.service.client.AnalysisClient.call` POSTs any
+  endpoint's payload, with capped, full-jitter retry for transient
+  failures.
 
+The CLI's ``analyze``, ``sta`` and ``sweep`` build the JSON payload an
+endpoint takes, then send it with ``--server`` through ``call`` or
+answer it locally through ``answer``; either way the request is parsed
+and run by its endpoint row, and the answer is an :class:`Outcome`.
 The request/response schema, cache semantics, and metrics fields are
 documented in ``docs/service.md``.
 """
@@ -33,20 +39,18 @@ documented in ``docs/service.md``.
 from repro.service.cache import ResultCache
 from repro.service.canon import (canonical_deck, request_key,
                                  sta_request_key, sweep_request_key)
-from repro.service.client import (AnalysisClient, AnalyzeOutcome,
-                                  ServiceError, StaOutcome, SweepOutcome,
+from repro.service.client import (AnalysisClient, Outcome, ServiceError,
                                   parse_retry_after)
-from repro.service.server import AnalysisService, ServiceServer, serve
+from repro.service.server import AnalysisService, ServiceServer, answer, serve
 
 __all__ = [
     "AnalysisClient",
     "AnalysisService",
-    "AnalyzeOutcome",
+    "Outcome",
     "ResultCache",
     "ServiceError",
     "ServiceServer",
-    "StaOutcome",
-    "SweepOutcome",
+    "answer",
     "canonical_deck",
     "parse_retry_after",
     "request_key",

@@ -1,15 +1,19 @@
-"""HTTP client for the analysis daemon (stdlib ``urllib`` only).
+"""HTTP client for the analysis daemon and gateway (stdlib ``urllib`` only).
 
-The client speaks the JSON API documented in ``docs/service.md`` and
-keeps the raw response bytes around: a cache hit is *bit-identical* to
-the cold run's body, and :attr:`AnalyzeOutcome.body` is how callers (the
+One method answers every endpoint: :meth:`AnalysisClient.call` POSTs a
+request's JSON payload to ``/<kind>`` verbatim and returns an
+:class:`Outcome`.  The payload fields are the endpoint's own
+(``ENDPOINTS[kind].fields`` in :mod:`repro.service.server`, documented
+in ``docs/service.md``), so the client restates none of them.  The
+outcome keeps the raw response bytes: a cache hit is *bit-identical* to
+the cold run's body, and :attr:`Outcome.body` is how callers (the
 benchmark suite, the CI smoke test) check that promise without trusting
 any re-serialisation.
 
 Retries
 -------
-``/analyze`` requests are content-addressed on the server, so resending
-one is idempotent — the client therefore retries transient failures
+Every endpoint is content-addressed on the server, so resending a
+request is idempotent — the client therefore retries transient failures
 (connection errors, socket timeouts, 429 queue-full, 503
 draining/degraded/shed-load) with **capped exponential backoff and full
 jitter**, honouring the server's ``Retry-After`` hint when it is larger
@@ -86,9 +90,9 @@ class ServiceError(ReproError):
 
 
 @dataclasses.dataclass(frozen=True)
-class _Outcome:
-    """One round trip: ``document`` is the parsed report; ``body`` the
-    exact bytes received (a cache hit is bit-identical to the cold
+class Outcome:
+    """One answered request: ``document`` is the parsed report; ``body``
+    the exact bytes received (a cache hit is bit-identical to the cold
     response); ``cached`` whether the server answered from its result
     cache; ``key`` the request's content address; ``server_elapsed_s``
     the server-side handling time (for a hit, the cache lookup; for a
@@ -100,49 +104,10 @@ class _Outcome:
     key: str
     server_elapsed_s: float
 
-    @classmethod
-    def _from_response(cls, body: bytes, headers: dict):
-        return cls(
-            document=json.loads(body),
-            body=body,
-            cached=headers.get("X-Repro-Cache") == "hit",
-            key=headers.get("X-Repro-Key", ""),
-            server_elapsed_s=float(headers.get("X-Repro-Elapsed-S", "nan")),
-        )
-
-
-class AnalyzeOutcome(_Outcome):
-    """One ``/analyze`` round trip; ``document`` is the
-    ``repro.run-report/1`` report."""
-
-    @property
-    def ok(self) -> bool:
-        """True when every job in the report succeeded."""
-        return self.document["totals"]["jobs_failed"] == 0
-
-
-class StaOutcome(_Outcome):
-    """One ``/sta`` round trip; ``document`` is the
-    ``repro.sta-report/1`` report."""
-
-    @property
-    def worst_slack_s(self) -> float | None:
-        """The report's cross-corner worst slack (None if unconstrained)."""
-        return self.document["worst_slack_s"]
-
-
-class SweepOutcome(_Outcome):
-    """One ``/sweep`` round trip; ``document`` is the
-    ``repro.sweep-report/1`` report."""
-
-    @property
-    def incremental_points(self) -> int:
-        """Points the server evaluated without an extra factorization."""
-        return self.document["incremental_points"]
-
 
 class AnalysisClient:
-    """Talk to a running ``python -m repro serve`` daemon.
+    """Talk to a running ``python -m repro serve`` daemon or
+    ``python -m repro gateway``.
 
     Parameters
     ----------
@@ -151,8 +116,8 @@ class AnalysisClient:
     timeout:
         Socket timeout in seconds for every call (default 60).
     retries:
-        Extra attempts for a failed ``/analyze`` request (default 2; 0
-        disables retrying).  Only transient failures are retried
+        Extra attempts for a failed :meth:`call` (default 2; 0 disables
+        retrying).  Only transient failures are retried
         (connection errors and HTTP 429/503); a 400 or a 504 is final.
     backoff_base / backoff_cap:
         The attempt-``k`` sleep is drawn uniformly from
@@ -188,101 +153,27 @@ class AnalysisClient:
 
     # -- endpoints -----------------------------------------------------
 
-    def analyze(
-        self,
-        deck: str,
-        nodes,
-        order: int | None = None,
-        error_target: float | None = None,
-        max_order: int | None = None,
-        threshold: float | None = None,
-        timeout: float | None = None,
-        reduce: bool | None = None,
-    ) -> AnalyzeOutcome:
-        """Submit one deck for analysis and return the run report.
+    def call(self, kind: str, payload: dict) -> Outcome:
+        """POST ``payload`` verbatim to ``/<kind>`` and return the answer.
 
-        ``deck`` is netlist text (use :func:`analyze_file` for a path);
-        ``nodes`` one name or a list.  The remaining parameters mirror
-        ``python -m repro report``; ``timeout`` is the server-side
-        per-request budget in seconds; ``reduce`` asks the server to
-        collapse series RC chains first (``None`` leaves the field out,
-        which means no).  Transient failures are retried (see the class
-        docstring); the request is idempotent server-side so a retry can
+        ``kind`` is an endpoint (``analyze``, ``sta``, ``sweep``) and
+        ``payload`` its JSON request object, with the fields that
+        endpoint's row of :data:`repro.service.server.ENDPOINTS`
+        accepts (``docs/service.md``).  Every endpoint is
+        content-addressed and so idempotent server-side: transient
+        failures are retried (see the class docstring) and a retry can
         never double-compute a cached result.
         """
-        return self._submit(
-            "/analyze", AnalyzeOutcome, deck=deck,
-            nodes=[nodes] if isinstance(nodes, str) else list(nodes),
-            order=order, error_target=error_target, max_order=max_order,
-            threshold=threshold, timeout=timeout, reduce=reduce)
-
-    def analyze_file(self, path, nodes, **options) -> AnalyzeOutcome:
-        """:meth:`analyze` on a deck file."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return self.analyze(handle.read(), nodes, **options)
-
-    def sta(
-        self,
-        design,
-        k: int | None = None,
-        corners=None,
-        interconnect: str | None = None,
-        library=None,
-        timeout: float | None = None,
-    ) -> StaOutcome:
-        """Submit one design for static timing analysis.
-
-        ``design`` is a :class:`repro.sta.Design` (serialised via its
-        canonical dict form) or an already-built design dict; ``corners``
-        a list of :class:`repro.sta.Corner` or corner dicts; ``library``
-        a :class:`repro.sta.CellLibrary` or library dict (``None`` uses
-        the server's built-in default).  Transient failures are retried
-        exactly like :meth:`analyze` — ``/sta`` is idempotent
-        server-side.
-        """
-        if corners is not None:
-            corners = [corner.to_dict() if hasattr(corner, "to_dict")
-                       else corner for corner in corners]
-        return self._submit(
-            "/sta", StaOutcome,
-            design=(design.to_canonical_dict()
-                    if hasattr(design, "to_canonical_dict") else design),
-            k=k, corners=corners, interconnect=interconnect,
-            library=(library.to_dict() if hasattr(library, "to_dict")
-                     else library),
-            timeout=timeout)
-
-    def sweep(
-        self,
-        deck: str,
-        node: str,
-        points,
-        mode: str | None = None,
-        first_order_threshold: float | None = None,
-        error_bound: float | None = None,
-        timeout: float | None = None,
-    ) -> SweepOutcome:
-        """Submit one incremental what-if sweep.
-
-        ``deck`` is netlist text, ``node`` the output node, ``points`` a
-        list of point dicts (``{"element": ..., "scale": ...}`` or
-        ``{"element": ..., "value": ...}``) or objects with a matching
-        shape (e.g. :class:`repro.sweep.SweepPoint` payloads).  The
-        remaining parameters mirror :class:`repro.sweep.SweepPlan`.
-        Transient failures are retried exactly like :meth:`analyze` —
-        ``/sweep`` is idempotent server-side.
-        """
-        def point_dict(point):
-            if hasattr(point, "element"):
-                return {"element": point.element, "value": point.value,
-                        "scale": point.scale, "label": point.label}
-            return point
-
-        return self._submit(
-            "/sweep", SweepOutcome, deck=deck, node=node,
-            points=[point_dict(point) for point in points], mode=mode,
-            first_order_threshold=first_order_threshold,
-            error_bound=error_bound, timeout=timeout)
+        _, body, headers = self._request(
+            "POST", f"/{kind}", json.dumps(payload).encode("utf-8"),
+            retry=True)
+        return Outcome(
+            document=json.loads(body),
+            body=body,
+            cached=headers.get("X-Repro-Cache") == "hit",
+            key=headers.get("X-Repro-Key", ""),
+            server_elapsed_s=float(headers.get("X-Repro-Elapsed-S", "nan")),
+        )
 
     def healthz(self) -> dict:
         """The health document (raises :class:`ServiceError` with status
@@ -306,15 +197,6 @@ class AnalysisClient:
             return dict(self._counters)
 
     # -- plumbing ------------------------------------------------------
-
-    def _submit(self, path: str, outcome, **fields):
-        """POST the non-``None`` ``fields`` (retried; every endpoint is
-        idempotent server-side) and wrap the answer in ``outcome``."""
-        payload = {name: value for name, value in fields.items()
-                   if value is not None}
-        _, body, headers = self._request(
-            "POST", path, json.dumps(payload).encode("utf-8"), retry=True)
-        return outcome._from_response(body, headers)
 
     def _request(self, method: str, path: str, body: bytes | None = None,
                  retry: bool = False):

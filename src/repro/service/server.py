@@ -12,8 +12,9 @@ Architecture (one process, threads only, stdlib only)::
 
 The shared core: :data:`ENDPOINTS`, one row per request kind (fields,
 parser, key function, worker function, clean-result rule) read by the
-router, :meth:`ServerCore.submit`, the single worker path and the
-gateway's canonicalizer, so a new endpoint is one row;
+router, :meth:`ServerCore.submit`, the single worker path, the
+gateway's canonicalizer and :func:`answer` (the in-process entry the
+CLI's local runs take), so a new endpoint is one row;
 :class:`ServerCore`, the request skeleton with its counters, drain,
 fault probes, ``/healthz`` and ``/metrics``; :class:`Health`, the
 degraded/canary policy the gateway keeps per shard; and
@@ -71,7 +72,8 @@ from repro.report import (
 )
 from repro.service.cache import ResultCache
 from repro.service.canon import request_key, sta_request_key, sweep_request_key
-from repro.sweep import SweepEngine, SweepPlan
+from repro.service.client import Outcome
+from repro.sweep import SweepEngine, SweepPlan, check_sweepable
 from repro.sta import (
     INTERCONNECT_MODES,
     NOMINAL,
@@ -212,8 +214,10 @@ def _parse_sweep(payload: dict) -> dict:
 
     The plan is materialised as a :class:`~repro.sweep.SweepPlan` (its
     own validation rejects bad modes, empty point lists, and malformed
-    points), and every point must name an element of the deck, so each
-    structural problem is refused with 400 before a worker is committed.
+    points), every point must name an element of the deck, and the deck
+    must pass :func:`~repro.sweep.check_sweepable` (what the engine
+    refuses before it factors), so each structural problem is refused
+    with 400 before a worker is committed.
     """
     text = _deck_text(payload)
     node = payload.get("node")
@@ -242,6 +246,7 @@ def _parse_sweep(payload: dict) -> dict:
         except KeyError:
             raise ValueError(f"sweep point names unknown element "
                              f"{point.element!r}") from None
+    check_sweepable(deck.circuit)
     return {"deck": deck, "plan": plan, "timeout": timeout,
             "label": deck.title or "deck"}
 
@@ -347,12 +352,36 @@ ENDPOINTS = {
 def canonicalize(kind: str, raw: bytes):
     """Parse a ``kind`` request body: ``(key, params)``.
 
-    The daemon and the gateway both call this, so routing can never
-    disagree with the shard caches about what a request means.
+    The daemon, the gateway and :func:`answer` all call this, so routing
+    can never disagree with the shard caches about what a request means.
     """
     endpoint = ENDPOINTS[kind]
     params = endpoint.parse(_decode(raw, endpoint.fields))
     return endpoint.key(params), params
+
+
+def _serialize(document: dict) -> bytes:
+    """The response body of a computed document."""
+    return (json.dumps(document, indent=2) + "\n").encode("utf-8")
+
+
+def answer(kind: str, payload: dict) -> Outcome:
+    """Answer one ``kind`` request in process, as a daemon worker would.
+
+    ``payload`` is the JSON object a client would POST to ``/<kind>``
+    (:meth:`~repro.service.client.AnalysisClient.call`).  Its bytes go
+    through :func:`canonicalize` and ``ENDPOINTS[kind].run`` on a fresh
+    engine, so the outcome's body is the daemon's for the same payload
+    minus timings.  A request the daemon refuses with 400 raises the
+    same ``ValueError`` or :class:`~repro.errors.ReproError` here.  The
+    outcome is never ``cached``; ``server_elapsed_s`` is its wall time.
+    """
+    started = time.monotonic()
+    key, params = canonicalize(kind, json.dumps(payload).encode("utf-8"))
+    document = ENDPOINTS[kind].run(params, BatchEngine(), params["timeout"],
+                                   time.monotonic() - started)
+    return Outcome(document, _serialize(document), False, key,
+                   time.monotonic() - started)
 
 
 class Health:
@@ -748,7 +777,7 @@ class AnalysisService(ServerCore):
             document = endpoint.run(params, engine, remaining,
                                     params["parse_s"])
             clean = endpoint.clean is None or endpoint.clean(document)
-            body = (json.dumps(document, indent=2) + "\n").encode("utf-8")
+            body = _serialize(document)
         except Exception as exc:  # defensive: a worker must never die
             return (500, error_body(500, f"internal analysis error: {exc}",
                                     type(exc).__name__), {}, False)

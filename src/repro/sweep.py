@@ -67,7 +67,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.analysis.mna import MnaSystem
+from repro.analysis.mna import MnaSystem, find_floating_groups
 from repro.analysis.sources import Stimulus, complete_stimuli
 from repro.circuit.elements import (
     Capacitor,
@@ -78,7 +78,7 @@ from repro.circuit.elements import (
     GROUND,
 )
 from repro.circuit.netlist import Circuit
-from repro.circuit.validation import validate_for_analysis
+from repro.circuit.validation import require_rcvi, validate_for_analysis
 from repro.core.moments import moment_chain
 from repro.core.sensitivity import DelaySensitivities, delay_sensitivities
 from repro.errors import AnalysisError
@@ -275,6 +275,25 @@ class SweepResult:
         }
 
 
+#: Why a circuit with a floating capacitive group cannot be swept.
+_FLOATING_GROUPS = (
+    "sweeps are not defined for floating capacitive groups "
+    "(their moments are not simple functions of one factorization)"
+)
+
+
+def check_sweepable(circuit: Circuit) -> None:
+    """Raise what :class:`SweepEngine` raises before it factors, from the
+    circuit alone: the structural validation, the R/C/V/I check and the
+    floating-group check, through the functions the engine and
+    :class:`~repro.analysis.mna.MnaSystem` use.  The service's
+    ``/sweep`` parser calls it, so such a deck is a bad request."""
+    validate_for_analysis(circuit)
+    require_rcvi(circuit, "sweeps")
+    if find_floating_groups(circuit):
+        raise AnalysisError(_FLOATING_GROUPS)
+
+
 class SweepEngine:
     """Reusable incremental evaluator of one base circuit's what-ifs.
 
@@ -308,22 +327,12 @@ class SweepEngine:
         tracer=None,
     ):
         validate_for_analysis(circuit)
-        for element in circuit:
-            if not isinstance(
-                element, (Resistor, Capacitor, VoltageSource, CurrentSource)
-            ):
-                raise AnalysisError(
-                    "sweeps support R/C/V/I circuits; got "
-                    f"{type(element).__name__} {element.name!r}"
-                )
+        require_rcvi(circuit, "sweeps")
         self.circuit = circuit
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.system = MnaSystem(circuit, sparse=sparse, tracer=self.tracer)
         if self.system.floating_groups:
-            raise AnalysisError(
-                "sweeps are not defined for floating capacitive groups "
-                "(their moments are not simple functions of one factorization)"
-            )
+            raise AnalysisError(_FLOATING_GROUPS)
         self.source_order = list(self.system.index.source_names)
         self.stimuli = complete_stimuli(circuit, stimuli or {}, self.source_order)
         self._u = np.array(
@@ -684,5 +693,6 @@ __all__ = [
     "SweepPlan",
     "SweepPoint",
     "SweepResult",
+    "check_sweepable",
     "sweep",
 ]

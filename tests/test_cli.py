@@ -300,3 +300,127 @@ class TestAnalyzeAgainstServer:
         assert main(["analyze", deck_file, "--server",
                      "http://127.0.0.1:9", "--node", "2"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestEndpointCommands:
+    """`sta`, `sweep` and `analyze` build the payload their endpoint
+    takes and answer it in process or with `--server`; both paths parse
+    and run it through the endpoint's row, so the documents agree."""
+
+    @pytest.fixture(scope="class")
+    def server_url(self):
+        from repro.service import ServiceServer
+
+        with ServiceServer(port=0, workers=1) as server:
+            yield server.url
+
+    @staticmethod
+    def document(capsys, argv) -> dict:
+        import json
+
+        assert main([*argv, "--json", "-"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @staticmethod
+    def daemon(url, kind, payload):
+        from repro.service import AnalysisClient
+
+        return AnalysisClient(url).call(kind, payload)
+
+    def test_sta_local_and_served_agree(self, server_url, tmp_path, capsys,
+                                        monkeypatch):
+        import io
+        import json
+
+        from repro.sta import default_library
+        from tests.test_server_core import DESIGN, answers
+
+        library = default_library().to_dict()
+        library_path = tmp_path / "library.json"
+        library_path.write_text(json.dumps(library))
+        argv = ["sta", "-", "--library", str(library_path),
+                "--corner", "nominal", "--corner", "slow:wire_r=1.5,cell=1.3"]
+        documents = []
+        for server in ([], ["--server", server_url]):
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(DESIGN)))
+            documents.append(self.document(capsys, argv + server))
+        local, served = documents
+        assert [corner["name"] for corner in local["corners"]] == [
+            "nominal", "slow"]
+        assert answers(local) == answers(served)
+
+        direct = self.daemon(server_url, "sta", {
+            "design": DESIGN, "k": 5,
+            "corners": [{"name": "nominal"},
+                        {"name": "slow", "wire_r": 1.5, "cell": 1.3}],
+            "interconnect": "awe", "library": library})
+        assert direct.cached  # the same payload: the CLI's cache entry
+        assert answers(direct.document) == answers(local)
+
+    def test_sweep_local_and_served_agree(self, deck_file, server_url,
+                                          tmp_path, capsys):
+        import json
+
+        from tests.test_server_core import answers
+
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(
+            {"points": [{"element": "C1", "scale": 2.0}], "mode": "exact"}))
+        argv = ["sweep", deck_file, "--node", "2",
+                "--point", "R2:scale=1.1", "--plan", str(plan)]
+        local = self.document(capsys, argv)
+        served = self.document(capsys, argv + ["--server", server_url])
+        # The plan file's mode pins every point, --point's too.
+        assert [point["mode"] for point in local["points"]] == [
+            "exact", "exact"]
+        assert answers(local) == answers(served)
+
+        direct = self.daemon(server_url, "sweep", {
+            "deck": DECK, "node": "2",
+            "points": [{"element": "R2", "scale": 1.1},
+                       {"element": "C1", "scale": 2.0}],
+            "mode": "exact", "first_order_threshold": 0.05,
+            "error_bound": 1e-3})
+        assert direct.cached
+        assert answers(direct.document) == answers(local)
+
+    def test_analyze_against_a_server_answers_as_report(
+            self, deck_file, server_url, capsys):
+        from tests.test_server_core import answers
+
+        served = self.document(capsys, ["analyze", deck_file, "--node", "2",
+                                        "--server", server_url])
+        local = self.document(capsys, ["report", deck_file, "--node", "2"])
+        assert answers(served) == answers(local)
+
+    @pytest.mark.parametrize("mode", ["local", "server"])
+    def test_a_refused_request_is_one_error_line(self, deck_file, server_url,
+                                                 tmp_path, capsys, mode):
+        import json
+
+        from tests.test_server_core import DESIGN
+
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps(DESIGN))
+        server = ["--server", server_url] if mode == "server" else []
+        for argv, message in (
+                (["sweep", deck_file, "--node", "2",
+                  "--point", "R9:scale=2"], "unknown element 'R9'"),
+                (["sta", str(design), "--corner", "a", "--corner", "a"],
+                 "corner names must be unique")):
+            assert main(argv + server) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith("error: ") and message in line
+
+    def test_unreadable_json_input_is_one_error_line(self, deck_file,
+                                                     tmp_path, capsys):
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"name": "x",')
+        for argv in (["sta", str(broken)],
+                     ["sweep", deck_file, "--node", "2",
+                      "--plan", str(broken)]):
+            assert main(argv) == 1
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith("error: ") and "not valid JSON" in line

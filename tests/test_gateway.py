@@ -369,11 +369,13 @@ class TestValidation:
 class TestHttpSurface:
     def test_analyze_round_trip_with_stock_client(self, gateway):
         client = AnalysisClient(gateway.url)
-        cold = client.analyze(FAST_DECK, "2", threshold=2.5)
-        assert cold.ok and not cold.cached
+        request = {"deck": FAST_DECK, "nodes": ["2"], "threshold": 2.5}
+        cold = client.call("analyze", request)
+        assert cold.document["totals"]["jobs_failed"] == 0
+        assert not cold.cached
         validate_report(cold.document)
 
-        warm = client.analyze(FAST_DECK, "2", threshold=2.5)
+        warm = client.call("analyze", request)
         assert warm.cached
         assert warm.body == cold.body
         assert warm.key == cold.key
@@ -401,10 +403,11 @@ class TestHttpSurface:
 
         client = AnalysisClient(gateway.url)
         design = Design.from_dict(demo_design_dict())
-        cold = client.sta(design, k=3)
+        request = {"design": design.to_canonical_dict(), "k": 3}
+        cold = client.call("sta", request)
         assert not cold.cached
         assert cold.document["design"] == "gw-demo"
-        warm = client.sta(design, k=3)
+        warm = client.call("sta", request)
         assert warm.cached and warm.body == cold.body
 
     def test_healthz_and_metrics_shape(self, gateway):
@@ -450,8 +453,8 @@ class TestHttpSurface:
         faults.install(FaultPlan.parse("http_503=1:0.01:x2", seed=0))
         patient = AnalysisClient(gateway.url, retries=4, backoff_base=0.01,
                                  rng=random.Random(0))
-        outcome = patient.analyze(FAST_DECK, "2")
-        assert outcome.ok
+        outcome = patient.call("analyze", {"deck": FAST_DECK, "nodes": ["2"]})
+        assert outcome.document["totals"]["jobs_failed"] == 0
         assert patient.stats()["client_retries"] == 2
         metrics = patient.metrics()
         assert metrics["faults_injected"] == 2
@@ -499,11 +502,12 @@ class TestSpawnMode:
         cache_dir = str(tmp_path / "cache")
         with GatewayServer(shards=1, cache_dir=cache_dir) as gateway:
             client = AnalysisClient(gateway.url)
-            cold = client.analyze(FAST_DECK, "2")
-            assert cold.ok and not cold.cached
+            cold = client.call("analyze", {"deck": FAST_DECK, "nodes": ["2"]})
+            assert cold.document["totals"]["jobs_failed"] == 0
+            assert not cold.cached
         with GatewayServer(shards=1, cache_dir=cache_dir) as gateway:
             client = AnalysisClient(gateway.url)
-            warm = client.analyze(FAST_DECK, "2")
+            warm = client.call("analyze", {"deck": FAST_DECK, "nodes": ["2"]})
             assert warm.cached
             assert warm.body == cold.body
 

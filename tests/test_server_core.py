@@ -4,21 +4,27 @@ Every row of `ENDPOINTS` must mean the same thing on every surface: a
 gateway attached to a daemon answers each request with the daemon's
 bytes and each malformed request with the daemon's status and JSON
 error, down to the HTTP framing, and the daemon's answers are the ones
-the in-process API gives.  The counters must account for every request
-exactly once, for every endpoint.
+the in-process entry (`answer`, the CLI's local path) and the public
+API give, for hand-written requests and for conformance fuzz cases.
+The counters must account for every request exactly once, for every
+endpoint.
 """
 
 import http.client
 import json
+import pathlib
 import socket
 import time
 
 import pytest
 
 from repro import AweJob, BatchEngine, SweepEngine, SweepPlan, Tracer, parse_netlist
+from repro.circuit.writer import write_netlist
+from repro.conformance import generate_case
+from repro.errors import ReproError
 from repro.gateway import GatewayServer
 from repro.report import build_report, build_sta_report, build_sweep_report
-from repro.service import ServiceServer
+from repro.service import ServiceServer, answer
 from repro.service import server as service_server
 from repro.service.server import ENDPOINTS, MAX_BODY_BYTES, Health
 from repro.sta import Design, run_sta
@@ -66,6 +72,29 @@ MEANINGLESS = {
     "sweep": {"deck": DECK, "node": "2",
               "points": [{"element": "R9", "scale": 1.1}]},
 }
+
+#: Further ``/sweep`` requests its parser must refuse: decks the sweep
+#: engine cannot serve, by what is wrong with them.
+UNSWEEPABLE = {
+    "inductor": {"deck": (pathlib.Path(__file__).parent.parent / "examples"
+                          / "decks" / "pcb_trace.sp").read_text(),
+                 "node": "t6", "points": [{"element": "R1", "scale": 1.2}]},
+    "floating": {"deck": ("floating group\nVin in 0 STEP(0 5)\n"
+                          "R1 in 1 1k\nC1 1 2 1p\nR2 2 3 1k\n"
+                          "C2 3 0 1p\n.end\n"),
+                 "node": "1", "points": [{"element": "R1", "scale": 1.2}]},
+}
+
+#: Every meaningless request as ``(kind, payload)``.
+MEANINGLESS_CASES = (
+    [pytest.param(kind, MEANINGLESS[kind], id=kind)
+     for kind in sorted(ENDPOINTS)]
+    + [pytest.param("sweep", payload, id=f"sweep-{flaw}")
+       for flaw, payload in UNSWEEPABLE.items()])
+
+#: The malformations every surface must refuse alike.
+MALFORMED = ("bad json", "unknown field", "meaningless", "unknown path",
+             "bad method", "missing length", "negative length", "oversize")
 
 #: The counters that together account for every request.
 OUTCOMES = ("requests_ok", "requests_failed", "bad_requests",
@@ -123,10 +152,10 @@ def accounted(metrics) -> int:
     return sum(metrics.get(name, 0) for name in OUTCOMES)
 
 
-def in_process(kind: str) -> dict:
-    """The document a user builds for ``GOOD[kind]`` through the public
-    API, traced as the surfaces trace every request."""
-    request = GOOD[kind]
+def in_process(kind: str, request: dict) -> dict:
+    """The document a user builds for the ``kind`` payload ``request``
+    through the public API, traced as the surfaces trace every
+    request."""
     tracer = Tracer(kind)
     if kind == "sta":
         run = run_sta(Design.from_dict(request["design"]), k=request["k"],
@@ -142,6 +171,26 @@ def in_process(kind: str) -> dict:
     engine = SweepEngine(deck.circuit, deck.stimuli, tracer=tracer)
     return build_sweep_report(engine.evaluate(SweepPlan.from_payload(request)),
                               trace=tracer.to_record())
+
+
+def fuzz_requests(seed: int) -> list:
+    """``(kind, payload)`` for each endpoint conformance case ``seed``
+    goes to: its deck and outputs to ``/analyze``, and a ``sweep``
+    family case also to ``/sweep``."""
+    case = generate_case(seed)
+    if case.kind == "sta":
+        pytest.skip("the sta family's cases are bare timing graphs, and "
+                    "/sta takes a gate-level design")
+    deck = write_netlist(case.circuit, case.stimuli)
+    requests = [("analyze", {"deck": deck, "nodes": list(case.nodes)})]
+    if case.family == "sweep":
+        requests.append(("sweep", {
+            "deck": deck, "node": case.nodes[0],
+            "points": [{"element": case.circuit.resistors[0].name,
+                        "scale": 1.1},
+                       {"element": case.circuit.capacitors[0].name,
+                        "scale": 2.0}]}))
+    return requests
 
 
 def answers(document):
@@ -245,10 +294,10 @@ class TestCounters:
         assert metrics["requests_failed"] == 1
         assert accounted(metrics) == 1
 
-    @pytest.mark.parametrize("kind", sorted(ENDPOINTS))
+    @pytest.mark.parametrize("kind, payload", MEANINGLESS_CASES)
     def test_gateway_refuses_a_meaningless_request_itself(
-            self, daemon, gateway, kind):
-        status, _, body = post(gateway.address, kind, MEANINGLESS[kind])
+            self, daemon, gateway, kind, payload):
+        status, _, body = post(gateway.address, kind, payload)
         assert status == 400
         assert json.loads(body)["status"] == 400
         metrics = gateway.service.metrics()
@@ -276,14 +325,36 @@ class TestSurfaceParity:
         daemon, _ = surfaces
         status, _, body = post(daemon.address, kind, GOOD[kind])
         assert status == 200
-        assert answers(json.loads(body)) == answers(in_process(kind))
+        assert answers(json.loads(body)) == answers(in_process(kind,
+                                                               GOOD[kind]))
 
-    @pytest.mark.parametrize("kind", sorted(ENDPOINTS))
-    @pytest.mark.parametrize("case", [
-        "bad json", "unknown field", "meaningless", "unknown path",
-        "bad method", "missing length", "negative length", "oversize"])
+    @pytest.mark.parametrize("seed", range(24))
+    def test_conformance_cases_answer_alike_on_every_path(self, surfaces,
+                                                          seed):
+        daemon, gateway = surfaces
+        for kind, payload in fuzz_requests(seed):
+            direct = post(daemon.address, kind, payload)
+            routed = post(gateway.address, kind, payload)
+            assert direct[0] == routed[0] == 200, direct[2]
+            assert routed[2] == direct[2]
+            expected = answers(in_process(kind, payload))
+            assert answers(json.loads(direct[2])) == expected
+            assert answers(answer(kind, payload).document) == expected
+
+    @pytest.mark.parametrize("kind, payload", MEANINGLESS_CASES)
+    def test_in_process_entry_refuses_what_the_daemon_refuses(self, kind,
+                                                              payload):
+        with pytest.raises((ValueError, ReproError)):
+            answer(kind, payload)
+
+    @pytest.mark.parametrize("case, kind, meaningless", [
+        *(pytest.param(case, kind, MEANINGLESS[kind], id=f"{case}-{kind}")
+          for case in MALFORMED for kind in sorted(ENDPOINTS)),
+        *(pytest.param("meaningless", "sweep", payload,
+                       id=f"meaningless-sweep-{flaw}")
+          for flaw, payload in UNSWEEPABLE.items())])
     def test_malformed_requests_are_refused_alike(self, surfaces, kind,
-                                                  case):
+                                                  case, meaningless):
         body = json.dumps(GOOD[kind]).encode()
         method, path, headers = "POST", f"/{kind}", {}
         if case == "bad json":
@@ -291,7 +362,7 @@ class TestSurfaceParity:
         elif case == "unknown field":
             body = json.dumps({**GOOD[kind], "verbosity": 3}).encode()
         elif case == "meaningless":
-            body = json.dumps(MEANINGLESS[kind]).encode()
+            body = json.dumps(meaningless).encode()
         elif case == "unknown path":
             path = f"/{kind}z"
         elif case == "bad method":

@@ -18,6 +18,9 @@ from repro.service import AnalysisClient, ServiceError, parse_retry_after
 OK_DOCUMENT = {"schema": "repro.run-report/1",
                "jobs": [], "totals": {"jobs_failed": 0}}
 
+#: The ``/analyze`` payload every scripted exchange sends.
+REQUEST = {"deck": "deck", "nodes": ["out"]}
+
 
 class _StubHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
@@ -104,14 +107,14 @@ class TestParseRetryAfter:
 class TestRetryLoop:
     def test_transient_503_then_success(self, stub):
         stub.script[:] = [refusal(503, "0.01")]
-        outcome = client(stub).analyze("deck", ["out"])
-        assert outcome.ok
+        outcome = client(stub).call("analyze", REQUEST)
+        assert outcome.document["totals"]["jobs_failed"] == 0
         assert len(stub.requests) == 2
 
     def test_transient_429_then_success(self, stub):
         stub.script[:] = [refusal(429, "0.01"), refusal(429, "0.01")]
         c = client(stub)
-        assert c.analyze("deck", ["out"]).ok
+        assert c.call("analyze", REQUEST).document["totals"]["jobs_failed"] == 0
         stats = c.stats()
         assert stats["client_retries"] == 2
         assert stats["retries_exhausted"] == 0
@@ -119,14 +122,15 @@ class TestRetryLoop:
 
     def test_garbage_retry_after_still_retries(self, stub):
         stub.script[:] = [refusal(503, "just a moment")]
-        assert client(stub).analyze("deck", ["out"]).ok
+        assert (client(stub).call("analyze", REQUEST)
+                .document["totals"]["jobs_failed"] == 0)
         assert len(stub.requests) == 2
 
     def test_exhaustion_raises_last_structured_error(self, stub):
         stub.script[:] = [refusal(503, "0.01")] * 10
         c = client(stub, retries=2)
         with pytest.raises(ServiceError) as excinfo:
-            c.analyze("deck", ["out"])
+            c.call("analyze", REQUEST)
         assert excinfo.value.status == 503
         assert excinfo.value.retry_after == 0.01
         assert len(stub.requests) == 3  # 1 try + 2 retries
@@ -137,7 +141,7 @@ class TestRetryLoop:
     def test_400_is_final(self, stub):
         stub.script[:] = [refusal(400)]
         with pytest.raises(ServiceError) as excinfo:
-            client(stub).analyze("deck", ["out"])
+            client(stub).call("analyze", REQUEST)
         assert excinfo.value.status == 400
         assert len(stub.requests) == 1
         assert client(stub).stats()["client_retries"] == 0
@@ -145,7 +149,7 @@ class TestRetryLoop:
     def test_retries_zero_disables_retrying(self, stub):
         stub.script[:] = [refusal(503, "0.01")]
         with pytest.raises(ServiceError):
-            client(stub, retries=0).analyze("deck", ["out"])
+            client(stub, retries=0).call("analyze", REQUEST)
         assert len(stub.requests) == 1
 
     def test_budget_overrun_fails_fast_with_last_error(self, stub):
@@ -154,7 +158,7 @@ class TestRetryLoop:
         stub.script[:] = [refusal(503, "30")]
         c = client(stub, retry_budget_s=0.05)
         with pytest.raises(ServiceError) as excinfo:
-            c.analyze("deck", ["out"])
+            c.call("analyze", REQUEST)
         assert excinfo.value.status == 503
         assert len(stub.requests) == 1
         stats = c.stats()
@@ -166,7 +170,7 @@ class TestRetryLoop:
                            retries=1, backoff_base=0.001,
                            rng=random.Random(0))
         with pytest.raises(ServiceError) as excinfo:
-            c.analyze("deck", ["out"])
+            c.call("analyze", REQUEST)
         assert excinfo.value.status == 0
         assert c.stats()["client_retries"] == 1
 

@@ -288,11 +288,14 @@ class TestHttpServer:
             client = AnalysisClient(server.url, timeout=60)
             assert client.healthz()["status"] == "ok"
 
-            cold = client.analyze(FAST_DECK, "2", threshold=2.5)
-            assert cold.ok and not cold.cached
+            cold = client.call("analyze", {"deck": FAST_DECK, "nodes": ["2"],
+                                          "threshold": 2.5})
+            assert cold.document["totals"]["jobs_failed"] == 0
+            assert not cold.cached
 
             variant = FAST_DECK.replace("0.5p", "500f") + "* tail comment\n"
-            warm = client.analyze(variant, ["2"], threshold=2.5)
+            warm = client.call("analyze", {"deck": variant, "nodes": ["2"],
+                                          "threshold": 2.5})
             assert warm.cached
             assert warm.body == cold.body       # bit-identical over the wire
             assert warm.key == cold.key
@@ -308,7 +311,9 @@ class TestHttpServer:
         with ServiceServer(port=0, workers=1) as server:
             client = AnalysisClient(server.url, timeout=30)
             with pytest.raises(ServiceError) as excinfo:
-                client.analyze("bad deck\nR1 only_one_node\n.end\n", "2")
+                client.call("analyze", {
+                    "deck": "bad deck\nR1 only_one_node\n.end\n",
+                    "nodes": ["2"]})
             assert excinfo.value.status == 400
 
             with pytest.raises(ServiceError) as excinfo:
@@ -409,7 +414,8 @@ class TestErrorPathsBypassEngine:
             client = AnalysisClient(server.url, timeout=60)
             self._assert_engine_untouched(client.metrics())
             # The daemon is unharmed: a well-formed request still works.
-            assert client.analyze(FAST_DECK, "2").ok
+            outcome = client.call("analyze", {"deck": FAST_DECK, "nodes": ["2"]})
+            assert outcome.document["totals"]["jobs_failed"] == 0
 
 
 class TestServeSubprocess:
@@ -439,8 +445,8 @@ class TestServeSubprocess:
             outcome = {}
 
             def run():
-                outcome["slow"] = client.analyze(
-                    SLOW_DECK, SLOW_NODES, order=4)
+                outcome["slow"] = client.call("analyze", {
+                    "deck": SLOW_DECK, "nodes": SLOW_NODES, "order": 4})
 
             thread = threading.Thread(target=run)
             thread.start()
@@ -450,7 +456,8 @@ class TestServeSubprocess:
 
             thread.join(timeout=120)
             assert "slow" in outcome, "in-flight request was dropped"
-            assert outcome["slow"].ok          # drained, not killed
+            slow = outcome["slow"].document
+            assert slow["totals"]["jobs_failed"] == 0  # drained, not killed
             assert proc.wait(timeout=60) == 0  # clean exit code
         finally:
             if proc.poll() is None:
@@ -461,8 +468,9 @@ class TestServeSubprocess:
         proc, url = self._spawn()
         try:
             client = AnalysisClient(url, timeout=120)
-            cold = client.analyze(FAST_DECK, "2")
-            warm = client.analyze(FAST_DECK, "2")
+            request = {"deck": FAST_DECK, "nodes": ["2"]}
+            cold = client.call("analyze", request)
+            warm = client.call("analyze", request)
             assert not cold.cached and warm.cached
             assert warm.body == cold.body
             proc.send_signal(signal.SIGTERM)
@@ -538,18 +546,21 @@ class TestResilienceAcceptance:
             client = AnalysisClient(server.url, timeout=120, retries=retries,
                                     backoff_base=0.01, backoff_cap=0.5,
                                     rng=random.Random(7))
-            outcomes = [client.analyze(deck, ["2"]) for deck in self.DECKS]
+            outcomes = [client.call("analyze", {"deck": deck, "nodes": ["2"]})
+                        for deck in self.DECKS]
             return outcomes, client.stats(), server.service.metrics()
 
     def test_fifty_jobs_survive_injected_faults_bit_for_bit(self):
         clean_outcomes, _, _ = self.run_all(retries=0)
-        assert all(outcome.ok for outcome in clean_outcomes)
+        assert all(outcome.document["totals"]["jobs_failed"] == 0
+                   for outcome in clean_outcomes)
 
         faults.install(FaultPlan.parse(
             "http_429=0.05:0.02,http_503=0.05:0.02", seed=1))
         faulty_outcomes, client_stats, metrics = self.run_all(retries=6)
 
-        assert all(outcome.ok for outcome in faulty_outcomes)
+        assert all(outcome.document["totals"]["jobs_failed"] == 0
+                   for outcome in faulty_outcomes)
         assert [_scrub(outcome.document) for outcome in faulty_outcomes] \
             == [_scrub(outcome.document) for outcome in clean_outcomes]
 

@@ -154,12 +154,13 @@ class TestStaHttp:
         with ServiceServer(port=0, workers=1) as server:
             client = AnalysisClient(server.url, timeout=60)
             design = Design.from_dict(demo_design_dict())
-            cold = client.sta(design, k=3)
+            request = {"design": design.to_canonical_dict(), "k": 3}
+            cold = client.call("sta", request)
             assert not cold.cached
-            assert cold.worst_slack_s is not None
+            assert cold.document["worst_slack_s"] is not None
             assert cold.document["k"] == 3
 
-            warm = client.sta(design, k=3)
+            warm = client.call("sta", request)
             assert warm.cached
             assert warm.body == cold.body
             assert warm.key == cold.key
@@ -171,7 +172,7 @@ class TestStaHttp:
         with ServiceServer(port=0, workers=1) as server:
             client = AnalysisClient(server.url, timeout=30)
             with pytest.raises(ServiceError) as excinfo:
-                client.sta({"name": "broken"})
+                client.call("sta", {"design": {"name": "broken"}})
             assert excinfo.value.status == 400
 
     def test_404_help_strings_mention_sta(self):
