@@ -353,12 +353,17 @@ class MnaSystem:
 
     def _solve(self, factor, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         """One counted forward/back substitution on ``factor`` for a
-        vector or a matrix of column right-hand sides."""
+        vector or a matrix of column right-hand sides.  A dense factor goes
+        straight to LAPACK's ``getrs``, which is what ``lu_solve`` calls
+        behind its wrapper; the right-hand side must be finite, as
+        ``lu_solve`` requires (``ValueError`` otherwise)."""
         self.stats.add("triangular_solves", 1)
         self.stats.add("solve_columns", 1 if rhs.ndim == 1 else rhs.shape[1])
         with self.stats.timer("solve_time_s"):
             if isinstance(factor, tuple):  # LAPACK (lu, piv)
-                return scipy.linalg.lu_solve(factor, rhs, trans=int(transpose))
+                solution, _ = scipy.linalg.lapack.dgetrs(
+                    *factor, np.asarray_chkfinite(rhs), trans=int(transpose))
+                return solution
             return factor.solve(rhs, trans="T" if transpose else "N")
 
     def solve_augmented(

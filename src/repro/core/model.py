@@ -15,13 +15,15 @@ the initial conditions).  Each model is
 :class:`AweWaveform` superposes the per-event models (paper Fig. 13 and
 eqs. 65–66) into the complete response.
 
-Models evaluate with complex arithmetic internally and return real values;
-conjugate pole pairs produced by the Padé stage make the imaginary parts
-cancel, which :func:`repro.analysis.poles._realise`-style checks enforce.
+Models evaluate a term with real pole and residue in float64 and every
+other term with complex arithmetic, and return real values; conjugate pole
+pairs produced by the Padé stage make the imaginary parts cancel, which
+:func:`repro.analysis.poles._realise`-style checks enforce.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 
@@ -33,9 +35,9 @@ from repro.waveform import Waveform
 #: A transient term: (pole, power, residue) — see solve_residues().
 Term = tuple[complex, int, complex]
 
-#: Sample counts of the bracketing scan and of each zoom, and the bracket
-#: width (relative to the window) at which a crossing is interpolated.
-_SCAN_SAMPLES, _ZOOM_SAMPLES, _CROSSING_TOLERANCE = 4000, 257, 1e-8
+#: Sample count of the bracketing scan, and the step (relative to the
+#: window) at which the polish of a bracketed crossing stops.
+_SCAN_SAMPLES, _CROSSING_TOLERANCE = 4000, 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,20 +70,26 @@ class PoleResidueModel:
     def transient_at(self, tau) -> np.ndarray:
         """The decaying part only, on local time ``τ = t − t0`` (τ ≥ 0)."""
         tau = np.asarray(tau, dtype=float)
-        total = np.zeros(tau.shape, dtype=complex)
+        total, imag = np.zeros(tau.shape), np.zeros(tau.shape)
         for pole, power, residue in self.terms:
-            term = residue * np.exp(pole * tau)
+            real = pole.imag == 0.0 and residue.imag == 0.0
+            if real:
+                term = residue.real * np.exp(pole.real * tau)
+            else:
+                term = residue * np.exp(pole * tau)
             if power > 1:
                 term = term * tau ** (power - 1) / math.factorial(power - 1)
-            total += term
-        imag_scale = np.abs(total.imag).max(initial=0.0)
-        real_scale = np.abs(total.real).max(initial=0.0)
+            total += term.real
+            if not real:
+                imag += term.imag
+        imag_scale = np.abs(imag).max(initial=0.0)
+        real_scale = np.abs(total).max(initial=0.0)
         if imag_scale > 1e-6 * max(real_scale, 1e-300) and imag_scale > 1e-12:
             raise ApproximationError(
                 "pole/residue model evaluates to a complex waveform; "
                 "conjugate pairing was broken upstream"
             )
-        return total.real
+        return total
 
     def evaluate(self, t) -> np.ndarray:
         """Model value at absolute time(s) ``t``; zero before ``t0``."""
@@ -194,25 +202,45 @@ class AweWaveform:
         scan never crosses gives ``None``.
 
         One scan — ``scan``, by default :meth:`to_waveform`'s grid over
-        :meth:`suggested_window` — brackets every level; zooms on the
-        model narrow each bracket, and the crossing is interpolated there.
-        Two crossings of a level inside one scan interval are missed."""
+        :meth:`suggested_window` — brackets every level with
+        :meth:`Waveform.crossings`' rules; the crossing is then solved on
+        the closed-form model inside its bracket, by safeguarded Newton
+        steps on the model's value and slope.  Two crossings of a level
+        inside one scan interval are missed."""
         if scan is None:
             scan = self.to_waveform()
-        return [self._first_crossing(scan, level, rising) for level, rising in levels]
+        form = self._scalar_form()
+        return [self._first_crossing(scan, form, level, rising)
+                for level, rising in levels]
 
-    def _first_crossing(self, scan: Waveform, level: float, rising) -> float | None:
+    def _scalar_form(self) -> list:
+        """Each model as ``(t0, offset, slope, terms)`` in plain Python
+        numbers, a term being ``(exp, pole, power − 1, residue/(power − 1)!)``
+        with float pole and residue and ``math.exp`` where both are real."""
+        form = []
+        for model in self.models:
+            terms = []
+            for pole, power, residue in model.terms:
+                weight = complex(residue) / math.factorial(power - 1)
+                if pole.imag == 0.0 and weight.imag == 0.0:
+                    terms.append((math.exp, float(pole.real), power - 1, weight.real))
+                else:
+                    terms.append((cmath.exp, complex(pole), power - 1, weight))
+            form.append((float(model.t0), float(model.offset), float(model.slope),
+                         terms))
+        return form
+
+    def _first_crossing(self, scan: Waveform, form, level: float, rising) -> float | None:
         crossings = scan.crossings(level, rising)
         if not crossings:
             return None
-        window, times, crossing = scan.t_stop, scan.times, crossings[0]
-        while True:
-            i = int(np.searchsorted(times, crossing, side="right")) - 1
-            if times[1] - times[0] <= _CROSSING_TOLERANCE * window or times[i] == crossing:
-                return crossing
-            times = np.linspace(times[i], times[i + 1], _ZOOM_SAMPLES)
-            zoomed = Waveform(times, self.evaluate(times), self.name)
-            crossing = zoomed.threshold_delay(level, rising)
+        times, crossing = scan.times, crossings[0]
+        i = int(np.searchsorted(times, crossing, side="right")) - 1
+        if times[i] == crossing:  # an exact hit on a sample
+            return crossing
+        sign = 1.0 if scan.values[i + 1] > scan.values[i] else -1.0
+        return _polish(form, self.baseline - level, sign, float(times[i]),
+                       float(times[i + 1]), crossing, _CROSSING_TOLERANCE * scan.t_stop)
 
     def threshold_delay(self, level: float, rising: bool | None = None) -> float:
         """The one-level case of :meth:`first_crossings`; raises when the
@@ -226,3 +254,54 @@ class AweWaveform:
     @property
     def is_stable(self) -> bool:
         return all(model.is_stable for model in self.models)
+
+
+def _value_and_slope(form, t: float) -> tuple[float, float]:
+    """The summed models' value and time derivative at one time ``t``,
+    from :meth:`AweWaveform._scalar_form`."""
+    value = slope = 0.0
+    for t0, offset, ramp, terms in form:
+        tau = t - t0
+        if tau < 0.0:
+            continue
+        value += offset + ramp * tau
+        slope += ramp
+        for exp, pole, degree, weight in terms:
+            term = weight * exp(pole * tau)
+            if degree:
+                power = tau ** (degree - 1)
+                value += (term * power * tau).real
+                slope += (term * power * (degree + pole * tau)).real
+            else:
+                value += term.real
+                slope += (pole * term).real
+    return value, slope
+
+
+def _polish(form, shift: float, sign: float, lo: float, hi: float, x: float,
+            tolerance: float) -> float:
+    """Solve ``v(t) + shift = 0`` inside the bracket ``(lo, hi)``, where
+    ``sign·(v + shift)`` is negative at ``lo`` and positive at ``hi``, by
+    Newton's method from ``x``.  A step that leaves the bracket, or is not
+    under half the step before it, becomes a bisection; the iteration
+    stops once a step is at most ``tolerance``."""
+    step = hi - lo
+    while True:
+        try:
+            value, slope = _value_and_slope(form, x)
+            f, df = sign * (value + shift), sign * slope
+        except OverflowError:  # a growing term past float range: hi's side
+            f, df = math.inf, math.nan
+        if f == 0.0:
+            return x
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x
+        if abs(2.0 * f) < abs(step * df) and lo <= x - f / df <= hi:
+            step = f / df
+        else:
+            step = x - 0.5 * (lo + hi)
+        x -= step
+        if abs(step) <= tolerance:
+            return x

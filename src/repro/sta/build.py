@@ -177,7 +177,9 @@ def _evaluate_net_awe(net: Net, corner: Corner, drive_resistance: float,
     try:
         analyzer = AweAnalyzer(circuit, {"Vdrv": stimulus}, tracer=tracer)
         if drive_resistance > 0.0:
-            t50_drv = analyzer.response("drv").delay_50()
+            response = analyzer.response("drv")
+            with tracer.span("crossings", node="drv", levels=1):
+                t50_drv = response.delay_50()
         else:
             # Source node: the ramp itself crosses 50 % at slew/2.
             t50_drv = 0.5 * input_slew if input_slew > 0.0 else 0.0
@@ -187,8 +189,9 @@ def _evaluate_net_awe(net: Net, corner: Corner, drive_resistance: float,
             waveform = analyzer.response(tap).waveform
             v1 = waveform.final_value()
             v0 = float(waveform.evaluate(0.0))
-            crossings = waveform.first_crossings(
-                [(0.5 * (v0 + v1), v1 > v0), (0.1 * v1, None), (0.9 * v1, None)])
+            with tracer.span("crossings", node=sink.node, levels=3):
+                crossings = waveform.first_crossings(
+                    [(0.5 * (v0 + v1), v1 > v0), (0.1 * v1, None), (0.9 * v1, None)])
             if None in crossings:
                 raise AnalysisError(
                     f"sink {sink.node!r} never crosses its 10/50/90 % levels")

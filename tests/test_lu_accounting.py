@@ -137,14 +137,15 @@ def test_shifted_transfer_expansion_is_one_counted_lu(circuit, node, sparse,
 
 
 def count_transpose_solves(monkeypatch) -> dict:
-    """Count dense adjoint (``trans != 0``) substitutions from here on."""
+    """Count dense adjoint (``trans != 0``) substitutions from here on, at
+    the LAPACK ``getrs`` call every dense solve makes."""
     calls = {"transpose": 0}
 
-    def counted(factor, rhs, trans=0, _solve=scipy.linalg.lu_solve, **kwargs):
+    def counted(lu, piv, rhs, trans=0, _getrs=scipy.linalg.lapack.dgetrs, **kwargs):
         calls["transpose"] += trans != 0
-        return _solve(factor, rhs, trans=trans, **kwargs)
+        return _getrs(lu, piv, rhs, trans=trans, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "lu_solve", counted)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrs", counted)
     return calls
 
 

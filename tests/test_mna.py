@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from repro import Circuit, MnaSystem
 from repro.errors import CircuitError, SingularCircuitError
+from repro.papercircuits import fig25_rlc_ladder
 
 
 class TestIndexing:
@@ -190,6 +192,43 @@ class TestSparseBackend:
             system.B @ np.array([5.0]), charge_values=np.array([0.0])
         )
         assert x[system.index.node("f")] == pytest.approx(1.0)
+
+
+class TestDenseSolve:
+    """The dense branch of ``_solve`` calls LAPACK's ``getrs`` itself,
+    without ``scipy.linalg.lu_solve``'s wrapper, and keeps its answers,
+    its finiteness check and the solve counters."""
+
+    @pytest.fixture
+    def system(self):
+        return MnaSystem(fig25_rlc_ladder(), sparse=False)
+
+    @pytest.mark.parametrize("columns", [None, 3])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_bitwise_equal_to_lu_solve(self, system, columns, transpose):
+        factor = system.lu()
+        shape = (system.dimension,) if columns is None else (system.dimension, columns)
+        rhs = np.random.default_rng(7).normal(size=shape)
+        got = system._solve(factor, rhs, transpose)
+        expected = scipy.linalg.lu_solve(factor, rhs, trans=int(transpose))
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_nonfinite_right_hand_side_raises(self, system, bad):
+        rhs = np.ones(system.dimension)
+        rhs[1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            system._solve(system.lu(), rhs)
+
+    def test_counts_as_before(self, system):
+        factor = system.lu()
+        before = system.stats.as_dict()
+        system._solve(factor, np.ones(system.dimension))
+        system._solve(factor, np.ones((system.dimension, 3)), transpose=True)
+        after = system.stats.as_dict()
+        assert after["triangular_solves"] - before["triangular_solves"] == 2
+        assert after["solve_columns"] - before["solve_columns"] == 4
 
 
 class TestFloatingGroups:

@@ -1,9 +1,11 @@
 """Tests for the pole/residue waveform models."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.core.model import AweWaveform, PoleResidueModel
+from repro.core.model import AweWaveform, PoleResidueModel, _value_and_slope
 from repro.errors import ApproximationError
 
 
@@ -67,6 +69,19 @@ class TestPoleResidueModel:
         t = np.linspace(0, 4, 33)
         np.testing.assert_allclose(model.transient_at(t), 3 * t * np.exp(-t))
 
+    def test_real_terms_agree_with_complex_arithmetic(self):
+        # Real terms evaluate in float64; the reference is the all-complex
+        # sum every term once went through.
+        p, k = -1e9 + 4e9j, 1 - 2j
+        terms = ((complex(-1e9), 1, complex(-5.0)), (complex(-3e9), 2, complex(2e9)),
+                 (p, 1, k), (np.conj(p), 1, np.conj(k)))
+        t = np.linspace(0, 5e-9, 101)
+        reference = sum(residue * np.exp(pole * t) * t ** (power - 1)
+                        / math.factorial(power - 1)
+                        for pole, power, residue in terms).real
+        np.testing.assert_allclose(PoleResidueModel(terms).transient_at(t),
+                                   reference, rtol=1e-13, atol=1e-15)
+
     def test_dominant_time_constant(self):
         model = PoleResidueModel(
             ((complex(-1e9), 1, complex(1)), (complex(-1e10), 1, complex(1)))
@@ -121,3 +136,29 @@ class TestAweWaveform:
         bad = PoleResidueModel(((complex(1e9), 1, complex(1.0)),))
         assert AweWaveform((good,)).is_stable
         assert not AweWaveform((good, bad)).is_stable
+
+
+class TestScalarForm:
+    """The crossing polish reads the model's value and slope from a scalar
+    form of its terms, built once per ``first_crossings`` call."""
+
+    def test_value_and_slope_match_the_model(self):
+        p, k = -1e9 + 4e9j, 1 - 2j
+        waveform = AweWaveform((
+            PoleResidueModel(((p, 1, k), (np.conj(p), 1, np.conj(k)),
+                              (complex(-2e9), 2, complex(3e9)),
+                              (complex(-5e8), 1, complex(-1.5))),
+                             offset=1.0, slope=2e8),
+            PoleResidueModel(((complex(-2e9), 1, complex(0.5)),),
+                             offset=-0.5, slope=-2e8, t0=1.05e-9),
+        ), baseline=0.25)
+        form = waveform._scalar_form()
+        # The central difference is good to about 1e3 V/s on slopes that
+        # run to 1e9 V/s.
+        h = 1e-13
+        for t in np.linspace(0.1e-9, 5e-9, 23):
+            value, slope = _value_and_slope(form, t)
+            assert value + 0.25 == pytest.approx(float(waveform.evaluate(t)),
+                                                 rel=1e-12)
+            numeric = float(waveform.evaluate(t + h) - waveform.evaluate(t - h)) / (2 * h)
+            assert slope == pytest.approx(numeric, rel=1e-6, abs=1e3)
