@@ -23,9 +23,20 @@ the 10⁴-node regression floor — sparse must beat dense end-to-end by at
 least 5x — and the 10⁵-node ceiling proof: a hundred-thousand-node net
 must complete under plain sparse and under sparse+reduced without ever
 materialising a dense matrix.  ``docs/scaling.md`` walks through reading the recorded numbers.
+
+The ``ingest`` entry times one plain sparse analysis from deck bytes in,
+layer by layer: ``parse_netlist``, ``validate_for_analysis``, the
+``MnaSystem`` (stamp and floating groups, inside the analyzer's
+constructor), the LU, the moments and order-2 fit, and ``delay_50``.
+The quick run measures 10⁴ sections; the full study measures 10⁵ and
+runs a 10⁶-section ladder in a child process, which records its peak
+RSS.
 """
 
+import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -33,6 +44,7 @@ import pytest
 
 from _bench_utils import record_bench, report
 from repro import AweAnalyzer, Step
+from repro.circuit import parse_netlist, validate_for_analysis, write_netlist
 from repro.papercircuits import rc_ladder
 from repro.rctree import elmore_delays
 from repro.reduce import reduce_circuit
@@ -71,6 +83,89 @@ def _measure(sections: int, sparse: bool | None, reduce: bool,
         "use_sparse": bool(analyzer.system.use_sparse),
         "delay_50_s": response.delay_50(),
     }
+
+
+#: The layers of one ``ingest`` measurement, in pipeline order.
+INGEST_STEPS = ("parse_s", "validate_s", "mna_s", "lu_s", "moments_s", "delay_s")
+
+
+def _ingest(sections: int) -> dict:
+    """Seconds per layer of one plain sparse analysis of an RC ladder,
+    from its deck text to the far end's 50 % delay."""
+    text = write_netlist(rc_ladder(sections), STIMULI)
+    node = str(sections)
+    seconds = {}
+    clock = time.perf_counter()
+
+    def lap(step: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        seconds[step] = now - clock
+        clock = now
+
+    deck = parse_netlist(text)
+    lap("parse_s")
+    validate_for_analysis(deck.circuit)
+    lap("validate_s")
+    analyzer = AweAnalyzer(deck.circuit, deck.stimuli)
+    lap("mna_s")
+    analyzer.system.lu()
+    lap("lu_s")
+    response = analyzer.response(node, order=2)
+    lap("moments_s")
+    delay = response.delay_50()
+    lap("delay_s")
+    return {
+        "sections": sections,
+        "deck_bytes": len(text.encode()),
+        "dimension": analyzer.system.index.dimension,
+        "use_sparse": bool(analyzer.system.use_sparse),
+        "total_s": sum(seconds.values()),
+        "delay_50_s": delay,
+        **seconds,
+    }
+
+
+def _ingest_child(sections: int) -> dict:
+    """:func:`_ingest` in a fresh interpreter, with its peak RSS."""
+    code = (
+        "import json, resource, sys\n"
+        f"sys.path[:0] = {[os.path.dirname(__file__)]!r}\n"
+        "from test_ext_node_ceiling import _ingest\n"
+        f"result = _ingest({sections})\n"
+        "result['peak_rss_mb'] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+        "print(json.dumps(result))\n"
+    )
+    output = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    return json.loads(output.splitlines()[-1])
+
+
+def _ingest_rows(result: dict) -> list[tuple]:
+    return [(f"{result['sections']:.0e} {step[:-2]}", f"{result[step]*1e3:.1f} ms")
+            for step in INGEST_STEPS + ("total_s",)]
+
+
+def test_ingest_quick():
+    """Deck bytes in to ``delay_50`` out at 10⁴ sections, layer by layer."""
+    result = min((_ingest(10_000) for _ in range(2)), key=lambda r: r["total_s"])
+    report("Extension — ingest of a 10^4-section ladder, layer by layer",
+           _ingest_rows(result), headers=("layer", "measured"))
+    assert result["use_sparse"]
+    assert np.isfinite(result["delay_50_s"]) and result["delay_50_s"] > 0
+    entry = {"1e4": result}
+    if FULL:
+        entry["1e5"] = min((_ingest(100_000) for _ in range(2)),
+                           key=lambda r: r["total_s"])
+        entry["1e6"] = _ingest_child(1_000_000)
+        report("Extension — ingest at 10^5 and 10^6 sections (nightly)",
+               _ingest_rows(entry["1e5"]) + _ingest_rows(entry["1e6"])
+               + [("1e+06 peak RSS", f"{entry['1e6']['peak_rss_mb']:.0f} MiB")],
+               headers=("layer", "measured"))
+        assert entry["1e6"]["use_sparse"] and entry["1e6"]["delay_50_s"] > 0
+    record_bench("ingest", entry)
 
 
 def test_node_ceiling_quick(benchmark):

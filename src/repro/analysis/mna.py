@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from operator import attrgetter
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-
-import networkx as nx
 
 from repro.circuit.elements import (
     CCCS,
@@ -52,9 +51,11 @@ from repro.circuit.elements import (
     Capacitor,
     CurrentSource,
     Inductor,
+    MutualInductance,
     Resistor,
     VoltageSource,
 )
+from repro.circuit.graph import DisjointSets
 from repro.circuit.netlist import Circuit
 from repro.errors import CircuitError, SingularCircuitError
 from repro.instrumentation import SolverStats
@@ -421,22 +422,13 @@ class MnaSystem:
         Capacitors with an explicit initial condition are claimed into
         the forest first, so a user-specified IC is honoured directly
         whenever possible."""
-        parent: dict[str, str] = {}
-
-        def find(node: str) -> str:
-            while parent.get(node, node) != node:
-                parent[node] = parent.get(parent[node], parent[node])
-                node = parent[node]
-            return node
-
+        forest = DisjointSets(self.index.node_count + 1)  # ground last, as -1
         capacitors = self.circuit.capacitors
         links = []
         for cap in sorted(capacitors, key=lambda cap: cap.initial_voltage is None):
-            root_p, root_n = find(cap.positive), find(cap.negative)
-            if root_p == root_n:
+            ends = (-1 if node == GROUND else self.index.node(node) for node in cap.nodes)
+            if not forest.union(*ends):
                 links.append(cap)
-            else:
-                parent[root_p] = root_n
         link_names = {cap.name for cap in links}
         forest = tuple(cap for cap in capacitors if cap.name not in link_names)
         return forest, tuple(links)
@@ -525,164 +517,221 @@ class MnaSystem:
 
 
 def _build_indexing(circuit: Circuit) -> MnaIndexing:
-    node_names = tuple(circuit.nodes)
-    current_elements = tuple(e.name for e in circuit.current_variable_elements())
-    source_names = tuple(
-        e.name for e in circuit if isinstance(e, (VoltageSource, CurrentSource))
+    return MnaIndexing(
+        tuple(circuit.nodes),
+        tuple(e.name for e in circuit.current_variable_elements()),
+        tuple(e.name for e in circuit.elements_of_type(VoltageSource, CurrentSource)),
     )
-    return MnaIndexing(node_names, current_elements, source_names)
+
+
+_G, _C, _B = 0, 1, 2
+
+#: The stamped element kinds: per entry of one element, in stamping
+#: order, the matrix and the row and column fields, over the element's
+#: terminal fields ``(p, n, …)`` that :func:`_stamp` lists.  A
+#: two-terminal element with value ``v`` stamps ``v`` at (p, p) and
+#: (n, n) and ``-v`` at (p, n) and (n, p); an element with branch current
+#: ``j`` stamps its KCL column (p, j) = 1, (n, j) = -1 and its branch row
+#: (j, p) = 1, (j, n) = -1.
+_BRANCH = ((_G, 0, 2), (_G, 1, 2), (_G, 2, 0), (_G, 2, 1))
+_ENTRIES = {
+    Resistor: ((_G, 0, 0), (_G, 0, 1), (_G, 1, 1), (_G, 1, 0)),      # (p, n)
+    Capacitor: ((_C, 0, 0), (_C, 0, 1), (_C, 1, 1), (_C, 1, 0)),     # (p, n)
+    Inductor: _BRANCH + ((_C, 2, 2),),                               # (p, n, j)
+    VoltageSource: _BRANCH + ((_B, 2, 3),),                          # (p, n, j, k)
+    CurrentSource: ((_B, 0, 2), (_B, 1, 2)),                         # (p, n, k)
+    VCCS: ((_G, 0, 2), (_G, 0, 3), (_G, 1, 2), (_G, 1, 3)),          # (p, n, cp, cn)
+    VCVS: _BRANCH + ((_G, 2, 3), (_G, 2, 4)),                        # (p, n, j, cp, cn)
+    CCCS: ((_G, 0, 2), (_G, 1, 2)),                                  # (p, n, jc)
+    CCVS: _BRANCH + ((_G, 2, 3),),                                   # (p, n, j, jc)
+    MutualInductance: ((_C, 0, 1), (_C, 1, 0)),                      # (j_a, j_b)
+}
+_PAIR_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+
+#: Per kind with fixed entry values: those values, with 0.0 where
+#: :func:`_stamp` writes an entry that scales with the element's value.
+_FIXED = {family: np.array([values]) for family, values in (
+    (Inductor, [1.0, -1.0, 1.0, -1.0, 0.0]),
+    (VoltageSource, [1.0, -1.0, 1.0, -1.0, 1.0]),
+    (CurrentSource, [-1.0, 1.0]),
+    (VCVS, [1.0, -1.0, 1.0, -1.0, 0.0, 0.0]),
+    (CCVS, [1.0, -1.0, 1.0, -1.0, 0.0]),
+)}
+_BRANCH_KINDS = (Inductor, VoltageSource, VCVS, CCVS)
+_UNCONTROLLED = frozenset((Resistor, Capacitor, Inductor, VoltageSource, CurrentSource))
+
+
+@functools.cache
+def _family(kind: type) -> type | None:
+    """The stamped kind an element type is (a subclass of), or ``None``."""
+    return next((base for base in _ENTRIES if issubclass(kind, base)), None)
+
+
+@functools.lru_cache(maxsize=512)
+def _layout(family: type, width: int) -> tuple[np.ndarray, frozenset]:
+    """``(M, matrices)``: ``fields @ M`` is the padded position (see
+    :class:`_Triplets`) of each entry of :data:`_ENTRIES` ``[family]``
+    when ``fields`` ends in a column of ones, and ``matrices`` the
+    matrices the entries reach."""
+    entries = _ENTRIES[family]
+    M = np.zeros((2 + max(max(row, col) for _, row, col in entries), len(entries)),
+                 dtype=np.int64)
+    for slot, (matrix, row, col) in enumerate(entries):
+        M[row, slot] += 3 * width
+        M[col, slot] += 1
+        M[-1, slot] = 3 * width + 1 + matrix * width
+    return M, frozenset(matrix for matrix, _, _ in entries)
 
 
 class _Triplets:
-    """COO triplet accumulator: the single assembly path for both backends.
+    """COO triplets of ``G``, ``C`` and ``B``: the single assembly path for
+    both backends.
 
-    Duplicate ``(i, j)`` entries accumulate in insertion order on the
-    dense path (``np.add.at`` applies repeated indices sequentially), so
-    dense matrices stay bit-identical to element-by-element ``+=``
-    stamping; the sparse path hands the same triplets to
+    An entry ``(i, j)`` of matrix ``m`` is addressed by its position in
+    one zero-padded array that holds the three matrices side by side,
+    ``(i + 1) · 3w + (j + 1) + m · w`` with ``w = max(dim, sources) + 1``:
+    the padding row and column of each matrix take the ground entries
+    (index -1).  Each element kind adds one block of positions and values,
+    one row per element and one column per entry in the element's
+    stamping order.  When the blocks that reach one matrix hold elements
+    that interleave in circuit order, :meth:`build` restores element
+    order with a stable sort on the ordinal; so every matrix receives its
+    triplets exactly as an element-by-element stamp emits them.
+    Duplicate entries then accumulate in that order on the dense path
+    (``np.bincount`` adds its weights sequentially, as ``np.add.at``
+    does), and the sparse path hands the same triplets to
     ``scipy.sparse.coo_matrix``, which sums duplicates on conversion.
     """
 
-    __slots__ = ("rows", "cols", "vals")
+    __slots__ = ("dim", "sources", "width", "blocks")
 
-    def __init__(self):
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.vals: list[float] = []
+    def __init__(self, dim: int, sources: int):
+        self.dim, self.sources = dim, sources
+        self.width = max(dim, sources) + 1
+        self.blocks: list[tuple] = []
 
-    def add(self, i: int, j: int, value: float) -> None:
-        self.rows.append(i)
-        self.cols.append(j)
-        self.vals.append(value)
+    def add(self, family: type, ordinal: list[int], fields: list, vals: np.ndarray) -> None:
+        """One kind's entries: ``fields`` lists the index columns of
+        :data:`_ENTRIES` ``[family]``, ``vals`` holds the ``(elements,
+        entries)`` values."""
+        M, matrices = _layout(family, self.width)
+        fields = np.array(fields + [[1] * len(ordinal)], dtype=np.int64)
+        self.blocks.append((matrices, ordinal, fields.T @ M, vals))
 
-    def build(self, shape: tuple[int, int], sparse: bool):
+    def build(self, sparse: bool):
+        """``(G, C, B)``: dense ndarrays, or CSR matrices when ``sparse``."""
+        blocks = self.blocks
+        if not blocks:
+            blocks = [((), [0], np.zeros(0, dtype=np.int64), np.zeros(0))]
+        flat = np.concatenate([block[2].ravel() for block in blocks])
+        vals = np.concatenate([block[3].ravel() for block in blocks])
+        last = [-1, -1, -1]  # per matrix, the last ordinal reached so far
+        for matrices, ordinal, _, _ in blocks:
+            if any(ordinal[0] < last[matrix] for matrix in matrices):
+                order = np.argsort(np.concatenate([
+                    np.repeat(ordinal, positions.shape[1])
+                    for _, ordinal, positions, _ in blocks]), kind="stable")
+                flat, vals = flat[order], vals[order]
+                break
+            for matrix in matrices:
+                last[matrix] = ordinal[-1]
+        dim, width = self.dim, self.width
+        shapes = ((dim, dim), (dim, dim), (dim, self.sources))
         if sparse:
-            return scipy.sparse.coo_matrix(
-                (self.vals, (self.rows, self.cols)), shape=shape, dtype=float
-            ).tocsr()
-        matrix = np.zeros(shape)
-        if self.rows:
-            np.add.at(
-                matrix,
-                (np.asarray(self.rows), np.asarray(self.cols)),
-                np.asarray(self.vals, dtype=float),
-            )
-        return matrix
+            rows, column = np.divmod(flat, 3 * width)
+            matrix, cols = np.divmod(column, width)
+            rows, cols = rows - 1, cols - 1
+            keep = (rows >= 0) & (cols >= 0)
+            return tuple(
+                scipy.sparse.coo_matrix(
+                    (vals[chosen], (rows[chosen], cols[chosen])), shape=shape, dtype=float
+                ).tocsr()
+                for number, shape in enumerate(shapes)
+                for chosen in [keep & (matrix == number)])
+        padded = np.bincount(flat, weights=vals, minlength=(dim + 1) * 3 * width)
+        padded = padded.reshape(dim + 1, 3, width)
+        return tuple(padded[1:, number, 1:shape[1] + 1].copy()
+                     for number, shape in enumerate(shapes))
+
+
+def _positions(columns: list, column, start: int):
+    """``start`` plus the position of each element of ``column`` among all
+    elements of ``columns``, in insertion order."""
+    if len(columns) == 1:
+        return range(start, start + len(column))
+    ordinals = np.sort(np.concatenate([other.ordinal for other in columns]))
+    return start + np.searchsorted(ordinals, column.ordinal)
 
 
 def _stamp(circuit: Circuit, index: MnaIndexing, sparse: bool = False):
-    """Assemble ``G``, ``C``, ``B`` as COO triplets, then build either
-    dense ndarrays or CSR matrices — the sparse path never allocates a
-    dense ``(dim, dim)`` array."""
-    dim = index.dimension
-    G = _Triplets()
-    C = _Triplets()
-    B = _Triplets()
+    """Assemble ``G``, ``C``, ``B`` as COO triplets from the circuit's
+    element columns, one vectorized block per element kind, then build
+    either dense ndarrays or CSR matrices — the sparse path never
+    allocates a dense ``(dim, dim)`` array."""
+    triplets = _Triplets(index.dimension, index.source_count)
+    columns = circuit.columns()
+    families = [_family(column.kind) for column in columns]
+    if not _UNCONTROLLED.issuperset(families):
+        _check_stampable(circuit, index)
 
-    def node(name: str) -> int | None:
-        return None if name == GROUND else index.node(name)
-
-    def stamp_pair(M: _Triplets, i: int | None, j: int | None, value: float) -> None:
-        """Add ``value`` at (i, i)/(j, j) and ``-value`` at (i, j)/(j, i)."""
-        if i is not None:
-            M.add(i, i, value)
-            if j is not None:
-                M.add(i, j, -value)
-        if j is not None:
-            M.add(j, j, value)
-            if i is not None:
-                M.add(j, i, -value)
-
-    def stamp_branch_kcl(row_p: int | None, row_n: int | None, col: int) -> None:
-        """Branch current ``col`` leaves the positive node, enters the negative."""
-        if row_p is not None:
-            G.add(row_p, col, 1.0)
-        if row_n is not None:
-            G.add(row_n, col, -1.0)
-
-    def stamp_branch_voltage(row: int, p: int | None, n: int | None) -> None:
-        """Row asserting V(p) - V(n) on the left-hand side."""
-        if p is not None:
-            G.add(row, p, 1.0)
-        if n is not None:
-            G.add(row, n, -1.0)
-
-    def control_current_index(name: str) -> int:
-        if name not in circuit:
-            raise CircuitError(f"controlling element {name!r} does not exist")
-        return index.current(name)
-
-    for element in circuit:
-        p, n = node(element.positive), node(element.negative)
-        if isinstance(element, Resistor):
-            stamp_pair(G, p, n, element.conductance)
-        elif isinstance(element, Capacitor):
-            stamp_pair(C, p, n, element.capacitance)
-        elif isinstance(element, Inductor):
-            j = index.current(element.name)
-            stamp_branch_kcl(p, n, j)
-            stamp_branch_voltage(j, p, n)
-            C.add(j, j, -element.inductance)
-        elif isinstance(element, VoltageSource):
-            j = index.current(element.name)
-            stamp_branch_kcl(p, n, j)
-            stamp_branch_voltage(j, p, n)
-            B.add(j, index.source(element.name), 1.0)
-        elif isinstance(element, CurrentSource):
-            k = index.source(element.name)
-            if p is not None:
-                B.add(p, k, -1.0)
-            if n is not None:
-                B.add(n, k, 1.0)
-        elif isinstance(element, VCCS):
-            cp, cn = node(element.ctrl_positive), node(element.ctrl_negative)
-            for row, sign_row in ((p, +1.0), (n, -1.0)):
-                if row is None:
-                    continue
-                if cp is not None:
-                    G.add(row, cp, sign_row * element.gain)
-                if cn is not None:
-                    G.add(row, cn, -sign_row * element.gain)
-        elif isinstance(element, VCVS):
-            j = index.current(element.name)
-            stamp_branch_kcl(p, n, j)
-            stamp_branch_voltage(j, p, n)
-            cp, cn = node(element.ctrl_positive), node(element.ctrl_negative)
-            if cp is not None:
-                G.add(j, cp, -element.gain)
-            if cn is not None:
-                G.add(j, cn, element.gain)
-        elif isinstance(element, CCCS):
-            jc = control_current_index(element.control_element)
-            if p is not None:
-                G.add(p, jc, element.gain)
-            if n is not None:
-                G.add(n, jc, -element.gain)
-        elif isinstance(element, CCVS):
-            j = index.current(element.name)
-            jc = control_current_index(element.control_element)
-            stamp_branch_kcl(p, n, j)
-            stamp_branch_voltage(j, p, n)
-            G.add(j, jc, -element.gain)
-        else:  # pragma: no cover - new element types must be stamped here
-            raise CircuitError(f"no MNA stamp for element type {type(element).__name__}")
+    for column, family in zip(columns, families):
+        fields = [column.positive, column.negative]
+        if family in _BRANCH_KINDS:
+            fields.append(_positions(
+                circuit.columns(*_BRANCH_KINDS), column, index.node_count))
+        if family is VoltageSource or family is CurrentSource:
+            fields.append(_positions(
+                circuit.columns(VoltageSource, CurrentSource), column, 0))
+        if family is VCCS or family is VCVS:
+            fields += [[-1 if node == GROUND else index.node(node)
+                        for node in map(attrgetter(port), column.elements)]
+                       for port in ("ctrl_positive", "ctrl_negative")]
+        elif family is CCCS or family is CCVS:
+            fields.append([index.current(element.control_element)
+                           for element in column.elements])
+        if family is Resistor:  # the conductance, 1 / R
+            vals = np.divide.outer(_PAIR_SIGNS, np.array(column.value)).T
+        elif family is Capacitor:
+            vals = np.multiply.outer(np.array(column.value), _PAIR_SIGNS)
+        elif family is VCCS:
+            vals = np.multiply.outer(np.array(column.value), [1.0, -1.0, -1.0, 1.0])
+        elif family is CCCS:
+            vals = np.multiply.outer(np.array(column.value), [1.0, -1.0])
+        else:
+            vals = _FIXED[family].repeat(len(column), axis=0)
+            if family is Inductor or family is CCVS:
+                vals[:, 4] = -np.array(column.value)
+            elif family is VCVS:
+                vals[:, 4:] = np.multiply.outer(np.array(column.value), [-1.0, 1.0])
+        triplets.add(family, column.ordinal, fields, vals)
 
     # Magnetic couplings: off-diagonal inductance-matrix terms on the
-    # coupled inductors' branch rows (v₁ = L₁i₁' + M i₂', and symmetric).
-    for coupling in circuit.mutual_inductances:
+    # coupled inductors' branch rows (v₁ = L₁i₁' + M i₂', and symmetric),
+    # after every element.
+    for number, coupling in enumerate(circuit.mutual_inductances, start=len(circuit)):
         inductor_a = circuit[coupling.inductor_a]
         inductor_b = circuit[coupling.inductor_b]
         j1 = index.current(coupling.inductor_a)
         j2 = index.current(coupling.inductor_b)
         mutual = coupling.mutual(inductor_a.inductance, inductor_b.inductance)
-        C.add(j1, j2, -mutual)
-        C.add(j2, j1, -mutual)
+        triplets.add(MutualInductance, [number], [[j1], [j2]],
+                     np.array([[-mutual, -mutual]]))
 
-    return (
-        G.build((dim, dim), sparse),
-        C.build((dim, dim), sparse),
-        B.build((dim, index.source_count), sparse),
-    )
+    return triplets.build(sparse)
+
+
+def _check_stampable(circuit: Circuit, index: MnaIndexing) -> None:
+    """Raise, for the first element in circuit order that has one, a
+    kind with no stamp or a controlling element that carries no branch
+    current."""
+    unknown = [column.kind for column in circuit.columns() if _family(column.kind) is None]
+    for element in circuit.elements_of_type(CCCS, CCVS, *unknown):
+        if not isinstance(element, (CCCS, CCVS)):
+            raise CircuitError(f"no MNA stamp for element type {type(element).__name__}")
+        if element.control_element not in circuit:
+            raise CircuitError(
+                f"controlling element {element.control_element!r} does not exist")
+        index.current(element.control_element)
 
 
 def find_floating_groups(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
@@ -695,16 +744,16 @@ def find_floating_groups(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
     ground is a floating group whose DC state is fixed only by charge
     conservation (paper Sec. III).  The indices are the circuit's own
     node indices, which are also the MNA rows of the node voltages.
+    Computed once per :attr:`~repro.circuit.netlist.Circuit.version`.
     """
-    graph = nx.Graph()
-    graph.add_node(GROUND)
-    graph.add_nodes_from(circuit.nodes)
-    for element in circuit:
-        if isinstance(element, (Resistor, Inductor, VoltageSource, VCVS, CCVS)):
-            graph.add_edge(element.positive, element.negative)
-    groups = []
-    for component in nx.connected_components(graph):
-        if GROUND in component:
-            continue
-        groups.append(tuple(sorted(circuit.node_index(name) for name in component)))
-    return tuple(sorted(groups))
+    return circuit.cached("floating_groups", _floating_groups)
+
+
+def _floating_groups(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
+    # Ground is the last item, which the columns' -1 names.
+    forest = DisjointSets(circuit.node_count + 1)
+    joined = sum(forest.union_all(column.positive, column.negative)
+                 for column in circuit.columns(Resistor, Inductor, VoltageSource, VCVS, CCVS))
+    if joined == circuit.node_count:  # one set: every node reaches ground
+        return ()
+    return forest.groups(without=-1)

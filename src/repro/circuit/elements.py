@@ -16,6 +16,7 @@ stays a pure description.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -44,8 +45,6 @@ def _require_positive(value: float, what: str, name: str) -> None:
 
 
 def _require_finite(value: float, what: str, name: str) -> None:
-    import math
-
     if not math.isfinite(value):
         raise CircuitError(f"{what} {name!r} must have a finite value, got {value!r}")
 
@@ -302,8 +301,6 @@ class MutualInductance:
 
     def mutual(self, l_a: float, l_b: float) -> float:
         """The mutual inductance value M = k·√(L_a·L_b)."""
-        import math
-
         return self.coupling * math.sqrt(l_a * l_b)
 
 

@@ -10,11 +10,21 @@ queries used throughout the analysis layers.
 The container itself performs only local validation (duplicate names,
 self-loops via the element constructors); global structural checks live in
 :mod:`repro.circuit.validation` and are run by the analysis entry points.
+
+Beside the elements, the container keeps one :class:`ElementColumns` per
+element type, kept current by its own mutators: the MNA stamp, the
+structural checks and the typed views read these columns instead of
+testing every element's type.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import functools
+import math
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from repro.circuit.elements import (
     CCCS,
@@ -32,6 +42,77 @@ from repro.circuit.elements import (
 )
 from repro.errors import CircuitError
 
+#: Per element kind, the fields read into the ``value`` and ``initial``
+#: columns (``None``: the kind has no initial condition).
+_FIELDS = (
+    (Resistor, "resistance", None),
+    (Capacitor, "capacitance", "initial_voltage"),
+    (Inductor, "inductance", "initial_current"),
+    (VoltageSource, "dc", None),
+    (CurrentSource, "dc", None),
+    (VCCS, "gain", None),
+    (VCVS, "gain", None),
+    (CCCS, "gain", None),
+    (CCVS, "gain", None),
+)
+
+
+class ElementColumns:
+    """The elements of one type, in insertion order, as parallel columns.
+
+    ``ordinal`` is each element's position among all of the circuit's
+    elements and ``positive``/``negative`` its terminal node indices,
+    ``-1`` for ground; the owning :class:`Circuit` appends to them.
+    ``value`` (resistance, capacitance, inductance, a source's ``dc``, a
+    controlled source's gain; NaN for an unknown kind) and ``initial``
+    (the initial condition, NaN when none) are read from the elements on
+    access.  A read-only view.
+    """
+
+    __slots__ = ("kind", "elements", "ordinal", "positive", "negative",
+                 "controlled", "_value_field", "_initial_field")
+
+    def __init__(self, kind: type):
+        self.kind = kind
+        self.elements: list[Element] = []
+        self.ordinal: list[int] = []
+        self.positive: list[int] = []
+        self.negative: list[int] = []
+        self._value_field, self._initial_field, self.controlled = _kind_spec(kind)
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    @property
+    def value(self) -> list[float]:
+        if self._value_field is None:
+            return [math.nan] * len(self.elements)
+        return list(map(attrgetter(self._value_field), self.elements))
+
+    @property
+    def initial(self) -> list[float]:
+        if self._initial_field is None:
+            return [math.nan] * len(self.elements)
+        return [math.nan if initial is None else initial
+                for initial in map(attrgetter(self._initial_field), self.elements)]
+
+    def copy(self) -> "ElementColumns":
+        duplicate = ElementColumns(self.kind)
+        for field in ("elements", "ordinal", "positive", "negative"):
+            setattr(duplicate, field, getattr(self, field).copy())
+        return duplicate
+
+
+@functools.cache
+def _kind_spec(kind: type) -> tuple[str | None, str | None, bool]:
+    """``(value field, initial-condition field, has a control port)`` of
+    an element type."""
+    value_field = initial_field = None
+    for base, value, initial in _FIELDS:
+        if issubclass(kind, base):
+            value_field, initial_field = value, initial
+    return value_field, initial_field, hasattr(kind, "ctrl_positive")
+
 
 class Circuit:
     """An ordered collection of linear circuit elements.
@@ -47,6 +128,11 @@ class Circuit:
         self._elements: dict[str, Element] = {}
         self._node_index: dict[str, int] = {}
         self._couplings: dict[str, "MutualInductance"] = {}
+        self._columns: dict[type, ElementColumns] = {}
+        # Element name -> row in its columns, built by the first replace().
+        self._position: dict[str, int] | None = None
+        self._edits = 0  # mutations that keep the element count
+        self._cache: dict[str, tuple[int, object]] = {}
 
     # ------------------------------------------------------------------
     # Container protocol
@@ -82,25 +168,38 @@ class Circuit:
 
         Raises :class:`~repro.errors.CircuitError` on a duplicate name.
         """
-        if element.name in self._elements:
-            raise CircuitError(f"duplicate element name {element.name!r}")
-        self._register_node(element.positive)
-        self._register_node(element.negative)
-        for attr in ("ctrl_positive", "ctrl_negative"):
-            node = getattr(element, attr, None)
-            if node is not None:
-                self._register_node(node)
-        self._elements[element.name] = element
+        name = element.name
+        if name in self._elements:
+            raise CircuitError(f"duplicate element name {name!r}")
+        kind = type(element)
+        column = self._columns.get(kind)
+        if column is None:
+            column = self._columns[kind] = ElementColumns(kind)
+        nodes = self._node_index
+        positive, negative = element.positive, element.negative
+        p = -1 if positive == GROUND else nodes.get(positive)
+        if p is None:
+            p = nodes[positive] = len(nodes)
+        n = -1 if negative == GROUND else nodes.get(negative)
+        if n is None:
+            n = nodes[negative] = len(nodes)
+        if column.controlled:
+            for node in (element.ctrl_positive, element.ctrl_negative):
+                if node != GROUND and node not in nodes:
+                    nodes[node] = len(nodes)
+        if self._position is not None:
+            self._position[name] = len(column.elements)
+        column.elements.append(element)
+        column.ordinal.append(len(self._elements))
+        column.positive.append(p)
+        column.negative.append(n)
+        self._elements[name] = element
         return element
 
     def extend(self, elements: Iterable[Element]) -> None:
         """Add several elements in order."""
         for element in elements:
             self.add(element)
-
-    def _register_node(self, name: str) -> None:
-        if name != GROUND and name not in self._node_index:
-            self._node_index[name] = len(self._node_index)
 
     # Convenience constructors ------------------------------------------------
 
@@ -180,6 +279,7 @@ class Circuit:
                 )
         coupling_element = MutualInductance(name, inductor_a, inductor_b, coupling)
         self._couplings[name] = coupling_element
+        self._edits += 1
         return coupling_element
 
     @property
@@ -199,7 +299,7 @@ class Circuit:
     @property
     def nodes(self) -> list[str]:
         """Non-ground node names in index order."""
-        return sorted(self._node_index, key=self._node_index.__getitem__)
+        return list(self._node_index)  # indices are handed out in insertion order
 
     def node_index(self, name: str | int) -> int:
         """Index of a non-ground node in the MNA vector ordering."""
@@ -220,9 +320,24 @@ class Circuit:
     # Typed element views
     # ------------------------------------------------------------------
 
+    def columns(self, *types: type) -> list[ElementColumns]:
+        """The :class:`ElementColumns` of every element type that is a
+        subclass of one of ``types`` (every type when none is given), in
+        the order each type first appeared."""
+        if not types:
+            return list(self._columns.values())
+        return [column for kind, column in self._columns.items() if issubclass(kind, types)]
+
     def elements_of_type(self, *types: type) -> list[Element]:
         """All elements whose type is one of ``types``, in insertion order."""
-        return [e for e in self._elements.values() if isinstance(e, types)]
+        columns = self.columns(*types)
+        if len(columns) == 1:
+            return list(columns[0].elements)
+        elements = [element for column in columns for element in column.elements]
+        if len(columns) > 1:
+            ordinals = np.concatenate([column.ordinal for column in columns])
+            elements = [elements[i] for i in np.argsort(ordinals, kind="stable")]
+        return elements
 
     @property
     def resistors(self) -> list[Resistor]:
@@ -252,12 +367,13 @@ class Circuit:
     @property
     def state_count(self) -> int:
         """Dimension of the circuit's natural state (caps + inductors)."""
-        return len(self.storage_elements)
+        return sum(len(column) for column in self.columns(Capacitor, Inductor))
 
     def current_variable_elements(self) -> list[Element]:
         """Elements carrying an MNA branch-current unknown, in insertion
         order.  This ordering defines the tail of the MNA unknown vector."""
-        return [e for e in self._elements.values() if e.needs_current_variable]
+        kinds = [kind for kind in self._columns if kind.needs_current_variable]
+        return self.elements_of_type(*kinds) if kinds else []
 
     # ------------------------------------------------------------------
     # Mutation helpers used by experiments
@@ -273,6 +389,24 @@ class Circuit:
                 f"replace() may not rewire {element.name!r}; remove and re-add instead"
             )
         self._elements[element.name] = element
+        self._edits += 1
+        if type(old) is not type(element):
+            self._rebuild_columns()
+            return
+        if self._position is None:
+            self._position = {
+                e.name: row for column in self._columns.values()
+                for row, e in enumerate(column.elements)}
+        self._columns[type(old)].elements[self._position[element.name]] = element
+
+    def _rebuild_columns(self) -> None:
+        """Rebuild every column from the elements (a replacement changed
+        an element's type)."""
+        elements = list(self._elements.values())
+        self._elements.clear()
+        self._columns.clear()
+        self._position = None
+        self.extend(elements)
 
     def set_initial_voltage(self, capacitor_name: str, voltage: float | None) -> None:
         """Set the t = 0 voltage of a capacitor (charge-sharing setups)."""
@@ -291,9 +425,34 @@ class Circuit:
     def copy(self, title: str | None = None) -> "Circuit":
         """A shallow copy (elements are immutable, so sharing them is safe)."""
         duplicate = Circuit(self.title if title is None else title)
-        duplicate.extend(self._elements.values())
+        duplicate._elements = dict(self._elements)
+        duplicate._node_index = dict(self._node_index)
+        duplicate._columns = {kind: column.copy() for kind, column in self._columns.items()}
         duplicate._couplings = dict(self._couplings)
         return duplicate
+
+    # ------------------------------------------------------------------
+    # Per-state results
+    # ------------------------------------------------------------------
+
+    @property
+    def version(self) -> int:
+        """The circuit's state number: every mutator (``add``,
+        ``replace``, the initial-condition setters, a new coupling)
+        raises it."""
+        return len(self._elements) + self._edits
+
+    def cached(self, key: str, compute: Callable[["Circuit"], object]):
+        """``compute(self)``, computed once per :attr:`version` and kept
+        under ``key``; an exception is not kept, so a failing
+        computation raises on every call."""
+        version = len(self._elements) + self._edits
+        hit = self._cache.get(key)
+        if hit is not None and hit[0] == version:
+            return hit[1]
+        value = compute(self)
+        self._cache[key] = (version, value)
+        return value
 
     def canonical_key(self, stimuli=None) -> str:
         """Content hash of the circuit (and optional source stimuli).
@@ -316,9 +475,8 @@ class Circuit:
 
     def has_initial_conditions(self) -> bool:
         """True when any storage element carries an explicit t = 0 value."""
-        for element in self.storage_elements:
-            if isinstance(element, Capacitor) and element.initial_voltage is not None:
-                return True
-            if isinstance(element, Inductor) and element.initial_current is not None:
-                return True
-        return False
+        return any(
+            not math.isnan(initial)
+            for column in self.columns(Capacitor, Inductor)
+            for initial in column.initial
+        )

@@ -112,11 +112,12 @@ def _physical_to_logical(text: str) -> list[tuple[int, str]]:
     """Strip comments/blanks and fold ``+`` continuations."""
     logical: list[tuple[int, str]] = []
     for number, raw in enumerate(text.splitlines(), start=1):
-        line = re.split(r"[;$]", raw, maxsplit=1)[0].rstrip()
-        stripped = line.strip()
-        if not stripped or stripped.startswith("*"):
+        if ";" in raw or "$" in raw:
+            raw = raw.partition(";")[0].partition("$")[0]
+        stripped = raw.strip()
+        if not stripped or stripped[0] == "*":
             continue
-        if stripped.startswith("+"):
+        if stripped[0] == "+":
             if not logical:
                 raise NetlistParseError("continuation with nothing to continue", number)
             prev_number, prev = logical[-1]
@@ -170,7 +171,12 @@ def _parse_card(circuit: Circuit, stimuli: dict, line: str, number: int) -> None
 
 
 def _tokenize(line: str, number: int) -> list[str]:
-    """Split a card into tokens, keeping ``FUNC( … )`` groups together."""
+    """Split a card into tokens, keeping ``FUNC( … )`` groups together.
+
+    A card without parentheses is split by :meth:`str.split`, which cuts
+    at the same whitespace as the character loop below."""
+    if "(" not in line and ")" not in line:
+        return line.split()
     spaced = re.sub(r"\(\s*", "(", line)
     tokens: list[str] = []
     depth = 0

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import networkx as nx
-
 from repro.circuit.elements import (
     GROUND,
     Capacitor,
@@ -32,6 +30,7 @@ from repro.circuit.elements import (
     Resistor,
     VoltageSource,
 )
+from repro.circuit.graph import DisjointSets, bfs_parents
 from repro.circuit.netlist import Circuit
 from repro.errors import TopologyError
 
@@ -142,28 +141,33 @@ def analyze_rc_tree(circuit: Circuit) -> RcTree:
             f"{type(element).__name__} {element.name!r} is not admissible in an RC tree"
         )
 
-    graph = nx.Graph()
+    # The resistor graph as adjacency lists: nodes in order of first
+    # appearance, each node's neighbours in resistor order.
+    adjacency: dict[str, list[tuple[str, Resistor]]] = {}
+    pairs: set[frozenset] = set()
     for resistor in circuit.resistors:
         if GROUND in resistor.nodes:
             raise TopologyError(
                 f"resistor {resistor.name!r} to ground: not an RC tree "
                 "(use the grounded-resistor extension, paper Sec. 2.2)"
             )
-        if graph.has_edge(*resistor.nodes):
+        pair = frozenset(resistor.nodes)
+        if pair in pairs:
             raise TopologyError("parallel resistors form a loop; not an RC tree")
-        graph.add_edge(resistor.positive, resistor.negative, resistor=resistor)
-    if root not in graph:
+        pairs.add(pair)
+        adjacency.setdefault(resistor.positive, []).append((resistor.negative, resistor))
+        adjacency.setdefault(resistor.negative, []).append((resistor.positive, resistor))
+    if root not in adjacency:
         raise TopologyError(f"no resistor connects to the driving node {root!r}")
-    if not nx.is_tree(graph):
+    parent = bfs_parents(adjacency, root)
+    if len(pairs) != len(adjacency) - 1 or len(parent) != len(pairs):
         raise TopologyError("resistors form loops or a disconnected graph; not an RC tree")
 
-    parent: dict[str, tuple[str, Resistor]] = {}
-    children: dict[str, list[str]] = {node: [] for node in graph.nodes}
-    for node_from, node_to in nx.bfs_edges(graph, root):
-        parent[node_to] = (node_from, graph.edges[node_from, node_to]["resistor"])
+    children: dict[str, list[str]] = {node: [] for node in adjacency}
+    for node_to, (node_from, _) in parent.items():
         children[node_from].append(node_to)
 
-    capacitance = {node: 0.0 for node in graph.nodes}
+    capacitance = {node: 0.0 for node in adjacency}
     for cap in circuit.capacitors:
         node = cap.positive if cap.negative == GROUND else cap.negative
         if node not in capacitance:
@@ -224,23 +228,9 @@ def tree_link_partition(circuit: Circuit) -> TreeLinkPartition:
     element joining two already-connected nodes becomes a link.  Controlled
     sources are always links.
     """
-    parent_of: dict[str, str] = {}
-
-    def find(node: str) -> str:
-        root = node
-        while parent_of.get(root, root) != root:
-            root = parent_of[root]
-        while parent_of.get(node, node) != node:
-            parent_of[node], node = root, parent_of[node]
-        return root
-
-    def union(a: str, b: str) -> bool:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent_of[ra] = rb
-        return True
-
+    index = {name: number for number, name in enumerate(circuit.nodes)}
+    index[GROUND] = -1
+    forest = DisjointSets(circuit.node_count + 1)  # ground last, as -1
     ordered = sorted(
         circuit,
         key=lambda e: _TREE_PRIORITY.get(type(e), 9),
@@ -251,7 +241,7 @@ def tree_link_partition(circuit: Circuit) -> TreeLinkPartition:
         if _TREE_PRIORITY.get(type(element), 9) > 4:
             links.append(element)
             continue
-        if union(element.positive, element.negative):
+        if forest.union(index[element.positive], index[element.negative]):
             tree.append(element)
         else:
             links.append(element)

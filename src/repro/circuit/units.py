@@ -70,6 +70,13 @@ def parse_value(text: str | float | int) -> float:
     """
     if isinstance(text, (int, float)):
         return float(text)
+    if text[-1:].isdigit() and "_" not in text:
+        # No suffix: a plain number, which float() reads as the pattern
+        # below does; anything else it accepts fails the pattern too.
+        try:
+            return float(text)
+        except ValueError:
+            pass
     match = _VALUE_RE.match(text)
     if match is None:
         raise NetlistParseError(f"cannot parse value {text!r}")

@@ -20,19 +20,20 @@ paper's Sec. III handles them by charge conservation and so does
 
 from __future__ import annotations
 
-import networkx as nx
+from operator import itemgetter
 
 from repro.circuit.elements import (
     CCCS,
     CCVS,
-    GROUND,
     VCVS,
     Capacitor,
     CurrentSource,
+    Element,
     Inductor,
     Resistor,
     VoltageSource,
 )
+from repro.circuit.graph import DisjointSets, tree_path
 from repro.circuit.netlist import Circuit
 from repro.errors import (
     AnalysisError,
@@ -43,41 +44,63 @@ from repro.errors import (
 
 
 def validate_for_analysis(circuit: Circuit) -> None:
-    """Run every structural check; raises on the first violation."""
+    """Run every structural check; raises on the first violation.
+
+    A circuit that passes is not checked again until one of its mutators
+    changes it (the pass is kept against :attr:`Circuit.version`); a
+    failing circuit raises on every call."""
+    circuit.cached("validated", _validate)
+
+
+def _validate(circuit: Circuit) -> bool:
     if len(circuit) == 0:
         raise CircuitError("circuit is empty")
     _check_ground_reference(circuit)
     _check_controlled_sources(circuit)
     _check_voltage_loops(circuit)
     _check_current_source_cutsets(circuit)
+    return True
 
 
 def require_rcvi(circuit: Circuit, what: str) -> None:
     """Raise :class:`~repro.errors.AnalysisError` naming the first element
     that is not a resistor, capacitor or independent source; ``what``
     names the analysis that needs an R/C/V/I circuit."""
-    for element in circuit:
-        if not isinstance(
-            element, (Resistor, Capacitor, VoltageSource, CurrentSource)
-        ):
-            raise AnalysisError(
-                f"{what} support R/C/V/I circuits; got "
-                f"{type(element).__name__} {element.name!r}"
-            )
+    others = [column for column in circuit.columns() if not issubclass(
+        column.kind, (Resistor, Capacitor, VoltageSource, CurrentSource))]
+    if others:
+        element = min(others, key=lambda column: column.ordinal[0]).elements[0]
+        raise AnalysisError(
+            f"{what} support R/C/V/I circuits; got "
+            f"{type(element).__name__} {element.name!r}"
+        )
+
+
+def edges(circuit: Circuit, *types: type) -> list[tuple[int, int, Element]]:
+    """``(positive, negative, element)`` of every element whose type is one
+    of ``types``, in circuit order, with the node indices of the circuit's
+    columns (ground is ``-1``)."""
+    columns = circuit.columns(*types)
+    rows = [
+        row for column in columns
+        for row in zip(column.ordinal, column.positive, column.negative, column.elements)
+    ]
+    if len(columns) > 1:
+        rows.sort(key=itemgetter(0))
+    return [row[1:] for row in rows]
 
 
 def _check_ground_reference(circuit: Circuit) -> None:
-    if not any(GROUND in element.nodes for element in circuit):
+    if not any(-1 in column.positive or -1 in column.negative
+               for column in circuit.columns()):
         raise TopologyError(
             "no element connects to ground; node voltages are undefined"
         )
 
 
 def _check_controlled_sources(circuit: Circuit) -> None:
-    for element in circuit:
-        control = getattr(element, "control_element", None)
-        if control is None:
-            continue
+    for element in circuit.elements_of_type(CCCS, CCVS):
+        control = element.control_element
         if control not in circuit:
             raise CircuitError(
                 f"{element.name!r} controlled by nonexistent element {control!r}"
@@ -89,38 +112,47 @@ def _check_controlled_sources(circuit: Circuit) -> None:
                 f"a current (voltage source or inductor), not "
                 f"{type(controller).__name__} {control!r}"
             )
-        if isinstance(element, (CCCS, CCVS)) and control == element.name:
+        if control == element.name:
             raise CircuitError(f"{element.name!r} cannot control itself")
 
 
 def _check_voltage_loops(circuit: Circuit) -> None:
     """Loops of voltage-defining branches make the DC system singular
-    (the paper's capacitance-voltage-source-loop caveat, Sec. 3.2)."""
-    graph = nx.MultiGraph()
-    for element in circuit:
-        if isinstance(element, (VoltageSource, VCVS, CCVS, Inductor)):
-            graph.add_edge(element.positive, element.negative, name=element.name)
-    try:
-        cycle = nx.find_cycle(graph)
-    except nx.NetworkXNoCycle:
-        return
-    names = sorted({graph.edges[edge]["name"] for edge in cycle})
-    raise SingularCircuitError(
-        "voltage-defining branches form a loop (no unique DC solution): "
-        + ", ".join(names)
-    )
+    (the paper's capacitance-voltage-source-loop caveat, Sec. 3.2).  The
+    branches join a union-find in circuit order; the first one whose
+    terminals are already joined closes a loop with the forest path
+    between them."""
+    forest = DisjointSets(circuit.node_count + 1)  # ground last, as -1
+    tree: dict[int, list[tuple[int, str]]] = {}
+    for p, n, element in edges(circuit, VoltageSource, VCVS, CCVS, Inductor):
+        if forest.union(p, n):
+            tree.setdefault(p, []).append((n, element.name))
+            tree.setdefault(n, []).append((p, element.name))
+            continue
+        names = sorted({name for _, _, name in tree_path(tree, p, n)} | {element.name})
+        raise SingularCircuitError(
+            "voltage-defining branches form a loop (no unique DC solution): "
+            + ", ".join(names)
+        )
 
 
 def _check_current_source_cutsets(circuit: Circuit) -> None:
     """A node fed only by current sources has no DC solution."""
-    touched_by_other: set[str] = {GROUND}
-    touched_at_all: set[str] = set()
-    for element in circuit:
-        for node in element.nodes:
-            touched_at_all.add(node)
-            if not isinstance(element, CurrentSource):
-                touched_by_other.add(node)
-    isolated = sorted(touched_at_all - touched_by_other)
+    sources = circuit.columns(CurrentSource)
+    if not sources:
+        return
+    touched_by_other = {-1}  # ground
+    for column in circuit.columns():
+        if not issubclass(column.kind, CurrentSource):
+            touched_by_other.update(column.positive)
+            touched_by_other.update(column.negative)
+    nodes = circuit.nodes
+    isolated = sorted({
+        nodes[node]
+        for column in sources
+        for node in column.positive + column.negative
+        if node not in touched_by_other
+    })
     if isolated:
         raise SingularCircuitError(
             f"node(s) {isolated} connect only to current sources; "

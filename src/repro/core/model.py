@@ -96,16 +96,12 @@ class PoleResidueModel:
         t = np.asarray(t, dtype=float)
         tau = t - self.t0
         active = tau >= 0.0
+        if active.all():
+            return np.asarray(self.offset + self.slope * tau + self.transient_at(tau))
         values = np.zeros(t.shape)
-        if np.any(active):
-            tau_active = tau[active] if tau.ndim else tau
-            contribution = (
-                self.offset + self.slope * tau_active + self.transient_at(tau_active)
-            )
-            if tau.ndim:
-                values[active] = contribution
-            else:
-                values = np.asarray(contribution)
+        if active.any():
+            tau = tau[active]
+            values[active] = self.offset + self.slope * tau + self.transient_at(tau)
         return values
 
     def initial_value(self) -> float:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import networkx as nx
 
 from repro.circuit.elements import (
     GROUND,
@@ -35,7 +34,9 @@ from repro.circuit.elements import (
     Resistor,
     VoltageSource,
 )
+from repro.circuit.graph import DisjointSets, bfs_parents
 from repro.circuit.netlist import Circuit
+from repro.circuit.validation import edges
 from repro.errors import AnalysisError, TopologyError
 
 
@@ -72,34 +73,39 @@ class TreeLinkAnalysis:
     # -- construction ----------------------------------------------------
 
     def _build(self) -> None:
-        graph = nx.Graph()
-        graph.add_node(GROUND)
+        names = self.circuit.nodes + [GROUND]  # by node index; ground last, as -1
+        forest = DisjointSets(len(names))
+        adjacency: dict[str, list[tuple[str, str]]] = {}
         tree_elements: dict[str, object] = {}
         links: list = []
         # Priority: voltage sources, then resistors, into the tree.
         for bucket in (VoltageSource, Resistor):
-            for element in self.circuit.elements_of_type(bucket):
-                if graph.has_node(element.positive) and graph.has_node(element.negative):
-                    if nx.has_path(graph, element.positive, element.negative):
-                        links.append(element)
-                        continue
-                graph.add_edge(element.positive, element.negative, name=element.name)
+            for p, n, element in edges(self.circuit, bucket):
+                if not forest.union(p, n):
+                    links.append(element)
+                    continue
+                adjacency.setdefault(names[p], []).append((names[n], element.name))
+                adjacency.setdefault(names[n], []).append((names[p], element.name))
                 tree_elements[element.name] = element
-        for element in self.circuit.elements_of_type(Capacitor, CurrentSource):
-            links.append(element)
+        links.extend(self.circuit.elements_of_type(Capacitor, CurrentSource))
 
         # Every node must be reachable through the tree for the port solves
         # to be defined (capacitor-only nodes are out of scope here — the
         # paper handles them with charge conservation in the general AWE
         # formulation, not in the tree/link walk).
-        for node in self.circuit.nodes:
-            if node not in graph or not nx.has_path(graph, node, GROUND):
+        grounded = forest.find(-1)
+        for node, name in enumerate(names[:-1]):
+            if forest.find(node) != grounded:
                 raise TopologyError(
-                    f"node {node!r} is not reachable through tree branches; "
+                    f"node {name!r} is not reachable through tree branches; "
                     "tree/link analysis needs a conductive spanning tree"
                 )
 
-        self.graph = graph
+        # The tree rooted at ground: each node's parent, branch and depth.
+        self._parent = bfs_parents(adjacency, GROUND)
+        self._depth = {GROUND: 0}
+        for node, (parent, _) in self._parent.items():
+            self._depth[node] = self._depth[parent] + 1
         self.tree_elements = tree_elements
         self.links = links
         self.resistive_links = [l for l in links if isinstance(l, Resistor)]
@@ -111,13 +117,24 @@ class TreeLinkAnalysis:
     def _fundamental_loop(self, link) -> list[_LoopStep]:
         """Tree path from the link's negative node back to its positive
         node — the return path of the loop current."""
-        path = nx.shortest_path(self.graph, link.negative, link.positive)
+        down: list[tuple[str, str, str]] = []
+        up: list[tuple[str, str, str]] = []
+        a, b = link.negative, link.positive
+        while a != b:  # climb from the deeper end until the two meet
+            if self._depth[a] >= self._depth[b]:
+                parent, branch = self._parent[a]
+                up.append((a, parent, branch))
+                a = parent
+            else:
+                parent, branch = self._parent[b]
+                down.append((parent, b, branch))
+                b = parent
         steps: list[_LoopStep] = []
-        for a, b in zip(path[:-1], path[1:]):
-            element = self.tree_elements[self.graph.edges[a, b]["name"]]
-            # Traversing a→b follows the branch orientation when a is the
-            # branch's positive terminal.
-            sign = 1.0 if element.positive == a else -1.0
+        for node_from, _, branch in up + down[::-1]:
+            element = self.tree_elements[branch]
+            # Traversing node_from→node_to follows the branch orientation
+            # when node_from is the branch's positive terminal.
+            sign = 1.0 if element.positive == node_from else -1.0
             steps.append(_LoopStep(element.name, sign))
         return steps
 

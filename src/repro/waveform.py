@@ -116,9 +116,11 @@ class Waveform:
         if rising is not None:
             hit &= (b > 0) == rising
             through &= (b > a) == rising
+        keep = np.flatnonzero(hit | through)
+        a, b, start = a[keep], b[keep], self.times[keep]
         with np.errstate(all="ignore"):
-            t_cross = self.times[:-1] + np.diff(self.times) * (-a) / (b - a)
-        crossings = np.where(through, t_cross, self.times[:-1])[hit | through].tolist()
+            t_cross = start + (self.times[keep + 1] - start) * (-a) / (b - a)
+        crossings = np.where(through[keep], t_cross, start).tolist()
         if v[-1] == 0.0 and (rising is None):
             crossings.append(float(self.times[-1]))
         return crossings

@@ -162,3 +162,49 @@ class TestScalarForm:
                                                  rel=1e-12)
             numeric = float(waveform.evaluate(t + h) - waveform.evaluate(t - h)) / (2 * h)
             assert slope == pytest.approx(numeric, rel=1e-6, abs=1e3)
+
+
+def _evaluate_masked(model, t):
+    """Every sample masked, evaluated where active and scattered back."""
+    t = np.asarray(t, dtype=float)
+    tau = t - model.t0
+    active = tau >= 0.0
+    values = np.zeros(t.shape)
+    if np.any(active):
+        tau_active = tau[active] if tau.ndim else tau
+        contribution = (model.offset + model.slope * tau_active
+                        + model.transient_at(tau_active))
+        if tau.ndim:
+            values[active] = contribution
+        else:
+            values = np.asarray(contribution)
+    return values
+
+
+class TestEvaluatePaths:
+    """All-active samples are evaluated directly; the values must be
+    bitwise those of the masked evaluation."""
+
+    MODELS = (
+        simple_model(),
+        simple_model(t0=2e-9, slope=1e8),
+        PoleResidueModel(((complex(-1e9, 3e9), 1, complex(1.0, -0.5)),
+                          (complex(-1e9, -3e9), 1, complex(1.0, 0.5)),
+                          (complex(-4e8), 2, complex(2e8))), offset=1.0, t0=1e-9),
+    )
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_all_active_partly_active_and_scalar(self, model):
+        grids = (
+            np.linspace(model.t0, model.t0 + 8e-9, 4000),   # all active
+            np.linspace(0.0, 8e-9, 4000),                    # partly active
+            np.linspace(0.0, 8e-9, 4000).reshape(40, 100),   # 2-D
+            np.array([]),
+        )
+        for t in grids:
+            got, expected = model.evaluate(t), _evaluate_masked(model, t)
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+        for scalar in (0.0, model.t0, model.t0 + 1e-9, model.t0 - 1e-12):
+            got, expected = model.evaluate(scalar), _evaluate_masked(model, scalar)
+            assert got.shape == () and got.tobytes() == expected.tobytes()

@@ -154,3 +154,48 @@ class TestSuperpose:
         total = superpose([base, base.shifted(5.0)], t)
         assert total(2.0) == pytest.approx(1.0)
         assert total(7.0) == pytest.approx(2.0)
+
+
+def _crossings_full(waveform, level, rising=None):
+    """Every interval interpolated, then the crossing ones kept."""
+    v = waveform.values - level
+    a, b = v[:-1], v[1:]
+    hit = a == 0.0
+    through = ((a < 0) & (0 < b)) | ((b < 0) & (0 < a))
+    if rising is not None:
+        hit &= (b > 0) == rising
+        through &= (b > a) == rising
+    with np.errstate(all="ignore"):
+        t_cross = waveform.times[:-1] + np.diff(waveform.times) * (-a) / (b - a)
+    crossings = np.where(through, t_cross, waveform.times[:-1])[hit | through].tolist()
+    if v[-1] == 0.0 and rising is None:
+        crossings.append(float(waveform.times[-1]))
+    return crossings
+
+
+class TestCrossingsInterpolateOnlyCrossingIntervals:
+    """``crossings`` interpolates the kept intervals only; the list must
+    be bitwise the full-interpolation one."""
+
+    @pytest.mark.parametrize("rising", [None, True, False])
+    def test_random_scans(self, rising):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(2, 400))
+            times = np.cumsum(rng.uniform(0.1, 2.0, n))
+            values = np.cumsum(rng.normal(0.0, 1.0, n))
+            waveform = Waveform(times, values)
+            for level in (0.0, float(values[n // 2]), float(values.mean())):
+                got = waveform.crossings(level, rising)
+                assert got == _crossings_full(waveform, level, rising)
+                assert all(type(t) is float for t in got)
+
+    @pytest.mark.parametrize("rising", [None, True, False])
+    def test_exact_hits_at_inner_and_last_samples(self, rising):
+        times = np.linspace(0.0, 4.0, 9)
+        for values in ([0, 1, 2, 1, 2, 3, 2, 1, 2], [3, 2, 1, 2, 3, 2, 1, 0, 2],
+                       [0, 1, 2, 3, 2, 1, 0, 1, 2], [2, 2, 2, 2, 2, 2, 2, 2, 2]):
+            waveform = Waveform(times, np.array(values, dtype=float))
+            for level in (0.0, 1.0, 2.0, 3.0, 1.5):
+                assert waveform.crossings(level, rising) == _crossings_full(
+                    waveform, level, rising)
